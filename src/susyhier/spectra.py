@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import (InvalidModelError, NotNormalizableError, UnsupportedFamilyError,
                      ZeroOmegaError)
@@ -279,7 +278,9 @@ def groundstate_wavefunction(model: PotentialModel, l: int, grid: Grid,
         return WavefunctionSample(grid, values, 1.0, QuantumNumbers(0, l), False)
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         raise NotNormalizableError("samples overflow on this grid; shrink the domain")
-    norm_sq = float(trapezoid(np.abs(values) ** 2, x))
+    dens = np.abs(values) ** 2
+    # trapezoid rule, in the same operation order as scipy.integrate.trapezoid
+    norm_sq = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))
     if not (math.isfinite(norm_sq) and norm_sq > 0.0):
         raise NotNormalizableError("quadrature of |psi|^2 is not finite and positive")
     c = 1.0 / math.sqrt(norm_sq)

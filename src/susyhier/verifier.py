@@ -4,7 +4,8 @@ Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
 wells go through the symmetric tridiagonal solver; complex-valued wells are
 promoted to dense storage and solved with the general eigensolver.
 Convergence is certified by comparing spacings h and h/2 and reporting the
-Richardson-extrapolated eigenvalues.
+Richardson-extrapolated eigenvalues.  The reality scan needs only the states
+below the continuum and solves for those alone (`_states_below`).
 """
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eig, eigh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import PoleOnDomainError, InvalidModelError
 from .grids import Grid
@@ -26,6 +29,10 @@ from .units import UnitSystem, DEFAULT_UNITS
 # an interior eigenvector component at the wall must be this small, relative
 # to the peak, for the state to count as bound
 EDGE_DECAY_RTOL = 1e-6
+
+# shift-invert Arnoldi starts with this many eigenpairs and doubles it until
+# the numerical-range certificate holds
+ARNOLDI_START_K = 16
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,69 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int):
     vals, vecs = eig(ham.dense(), right=True)
     order = np.lexsort((vals.imag, vals.real))[:k]
     return vals[order], vecs[:, order]
+
+
+def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float):
+    """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius.
+
+    Shift-invert Arnoldi on the tridiagonal H, with k doubling from
+    ARNOLDI_START_K.  None when that would take k >= N - 1 pairs, or when
+    ARPACK does not converge.
+    """
+    n = ham.dimension
+    off = np.full(n - 1, ham.off_diagonal, dtype=complex)
+    lu = splu(sp.diags([off, ham.diagonal - sigma, off], [-1, 0, 1], format="csc"))
+    op = LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    # a fixed start vector with no symmetry keeps the output deterministic and
+    # overlaps every eigenvector, odd ones in a symmetric well included
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
+    k = ARNOLDI_START_K
+    while k < n - 1:
+        try:
+            mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=0)
+        except ArpackNoConvergence:
+            return None
+        vals = sigma + 1.0 / mu
+        if np.abs(vals - sigma).max() > radius:
+            return vals, vecs
+        k *= 2
+    return None
+
+
+def _states_below(ham: DiscretizedHamiltonian, threshold: float) -> NumericSpectrum:
+    """Every eigenpair with Re E < threshold, sorted by (Re, Im).
+
+    With V = diagonal + 2 off_diagonal the potential on the interior points,
+    the numerical range of H, and so every eigenvalue, lies in
+    Re E > min Re V, min Im V <= Im E <= max Im V: the Laplacian part is
+    positive definite and real.  Real wells take the window
+    (min V - 1, threshold] of the tridiagonal solver.  Complex wells take the
+    eigenvalues nearest the centre of the box [min Re V, threshold] x
+    [min Im V, max Im V] until the farthest of them lies outside the circle
+    around the box, which proves that none inside it is missing; the dense
+    solver takes over where shift-invert Arnoldi cannot give that proof.
+    """
+    n = ham.dimension
+    v = ham.diagonal + 2.0 * ham.off_diagonal
+    vals = np.zeros(0, dtype=complex)
+    vecs = np.zeros((n, 0), dtype=complex)
+    if v.real.min() < threshold:
+        if ham.is_real:
+            vals, vecs = eigh_tridiagonal(ham.diagonal.real, np.full(n - 1, ham.off_diagonal),
+                                          select="v",
+                                          select_range=(v.real.min() - 1.0, threshold))
+        else:
+            sigma = complex(0.5 * (v.real.min() + threshold),
+                            0.5 * (v.imag.min() + v.imag.max()))
+            found = _certified_nearest(ham, sigma,
+                                       abs(complex(threshold, v.imag.max()) - sigma))
+            vals, vecs = found if found is not None else _sorted_eig(ham, n)
+        below = vals.real < threshold
+        vals, vecs = vals[below], vecs[:, below]
+        order = np.lexsort((vals.imag, vals.real))
+        vals, vecs = vals[order].astype(complex), vecs[:, order].astype(complex)
+    return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid,
+                           converged=False, richardson_delta=float("nan"))
 
 
 def eigen_spectrum(ham: DiscretizedHamiltonian, k: int) -> NumericSpectrum:
@@ -297,8 +367,9 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
     At each lattice point the bound part of the FD spectrum is extracted and
     max |Im E| is compared against tol_imag; the parameter condition
     Im(V0) Re(q) = Re(V0) Im(q) is recorded alongside.  Per-point failures
-    (e.g. a pole crossing the domain) land in the status column rather than
-    aborting the scan.  Results come back in lattice order (axis1 outer).
+    (a pole crossing the domain, or no bound state to judge) land in the
+    status column rather than aborting the scan.  Results come back in
+    lattice order (axis1 outer).
     """
     if not isinstance(model, PoschlTeller):
         raise InvalidModelError("reality scan is defined for the rational well")
@@ -310,10 +381,13 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
         holds = reality_condition(m.v0, m.q)
         try:
             ham = build_hamiltonian(m, grid, units)
-            spec = eigen_spectrum(ham, ham.dimension)
-            bound = bound_states(spec)
+            bound = bound_states(_states_below(ham, 0.0))
             n_ret = len(bound.eigenvalues)
-            max_im = float(np.abs(bound.eigenvalues.imag).max()) if n_ret else 0.0
+            if not n_ret:
+                return ScanRecord(param1=float(p1), param2=float(p2),
+                                  max_im_e=float("nan"), n_retained=0, is_real=False,
+                                  condition_holds=holds, status="no_bound_state")
+            max_im = float(np.abs(bound.eigenvalues.imag).max())
             return ScanRecord(param1=float(p1), param2=float(p2), max_im_e=max_im,
                               n_retained=n_ret, is_real=bool(max_im < tol_imag),
                               condition_holds=holds, status="ok")

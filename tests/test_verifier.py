@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from susyhier import (
     EnergyRecord,
@@ -25,6 +27,7 @@ from susyhier import (
     symmetric_grid,
     verify,
 )
+from susyhier import verifier as verifier_mod
 
 MORSE = MorseGeneral(25.0, 50.0, 1.0)
 MORSE_GRID = Grid(-3.0, 30.0, 4000)
@@ -275,3 +278,98 @@ def test_reality_scan_workers_equivalence():
             ScanAxis("v0", "re", 6.0, 8.0, 2),
             ScanAxis("q", "im", 0.0, 0.5, 2), SCAN_GRID)
     assert reality_scan(*args) == reality_scan(*args, workers=3)
+
+
+# ---------------------------------------------------------------------------
+# targeted bound-state solve of the reality scan
+# ---------------------------------------------------------------------------
+
+def assert_targeted_matches_dense(model, grid):
+    ham = build_hamiltonian(model, grid)
+    targeted = bound_states(verifier_mod._states_below(ham, 0.0))
+    dense = bound_states(eigen_spectrum(ham, ham.dimension))
+    assert len(targeted.eigenvalues) == len(dense.eigenvalues)
+    if len(dense.eigenvalues) == 0:
+        return
+    scale = float(np.abs(dense.eigenvalues).max())
+    assert np.allclose(targeted.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-10 * scale)
+    max_im_t = float(np.abs(targeted.eigenvalues.imag).max())
+    max_im_d = float(np.abs(dense.eigenvalues.imag).max())
+    assert (max_im_t < 1e-6) == (max_im_d < 1e-6)
+    assert max_im_t == pytest.approx(max_im_d, rel=1e-10, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("v0", [6.0, 8.0 + 1.5j, 7.0 - 2.0j])
+@pytest.mark.parametrize("q", [1.0, 1.0 + 0.4j, 1.0 - 0.4j, 0.6 + 0.9j])
+def test_targeted_bound_states_match_dense(v0, q):
+    assert_targeted_matches_dense(PoschlTeller(v0, q), SCAN_GRID)
+
+
+@settings(max_examples=25, deadline=None)
+@given(v0_re=st.floats(0.5, 12.0), v0_im=st.floats(-3.0, 3.0),
+       q_re=st.floats(0.05, 2.0), q_im=st.floats(-2.0, 2.0))
+def test_targeted_bound_states_match_dense_property(v0_re, v0_im, q_re, q_im):
+    # Re q > 0 keeps 1 + q e^{-2x} away from zero on the real line
+    model = PoschlTeller(complex(v0_re, v0_im), complex(q_re, q_im))
+    assert_targeted_matches_dense(model, Grid(-10.0, 10.0, 129))
+
+
+def test_targeted_solve_grows_k_until_certified(monkeypatch):
+    # a deep well keeps more than the first 16 eigenvalues inside the box
+    ks = []
+    arnoldi = verifier_mod.eigs
+
+    def counting(op, k, **kwargs):
+        ks.append(k)
+        return arnoldi(op, k=k, **kwargs)
+
+    monkeypatch.setattr(verifier_mod, "eigs", counting)
+    assert_targeted_matches_dense(PoschlTeller(800.0 + 1.0j, 1.0 + 0.3j), Grid(-10.0, 10.0, 129))
+    assert ks == [16, 32]
+
+
+def test_targeted_solve_small_grid_takes_dense_path(monkeypatch):
+    # N = 16 interior points: the first k = 16 already reaches N - 1
+    def no_arnoldi(*args, **kwargs):
+        raise AssertionError("shift-invert Arnoldi ran on a grid it cannot serve")
+
+    monkeypatch.setattr(verifier_mod, "eigs", no_arnoldi)
+    for q in (1.0 + 0.4j, 1.0 - 0.4j):
+        assert_targeted_matches_dense(PoschlTeller(6.0 + 1.0j, q), Grid(-10.0, 10.0, 18))
+
+
+def test_targeted_solve_falls_back_when_arpack_fails(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(verifier_mod, "eigs", no_convergence)
+    assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), SCAN_GRID)
+
+
+def test_targeted_solve_empty_when_well_is_above_threshold():
+    ham = build_hamiltonian(PoschlTeller(-6.0 + 1.0j, 1.0 + 0.2j), SCAN_GRID)
+    assert np.all((ham.diagonal + 2.0 * ham.off_diagonal).real >= 0.0)
+    spec = verifier_mod._states_below(ham, 0.0)
+    assert spec.eigenvalues.shape == (0,)
+    assert spec.eigenvectors.shape == (ham.dimension, 0)
+
+
+def test_reality_scan_repeats_exactly():
+    args = (PoschlTeller(6.0 + 1.0j, 1.0, 1.0),
+            ScanAxis("v0", "re", 6.0, 9.0, 3),
+            ScanAxis("q", "im", -0.6, 0.6, 3), SCAN_GRID)
+    first = reality_scan(*args)
+    assert all(r.status == "ok" for r in first)
+    assert reality_scan(*args) == first
+
+
+def test_reality_scan_reports_points_without_bound_states():
+    recs = reality_scan(PoschlTeller(5.0, 1.0, 1.0),
+                        ScanAxis("v0", "re", 5.0, 5.0, 1),
+                        ScanAxis("q", "im", 0.9, 1.08, 4), SCAN_GRID)
+    assert len(recs) == 4
+    for r in recs:
+        assert r.status == "no_bound_state"
+        assert r.n_retained == 0
+        assert math.isnan(r.max_im_e)
+        assert not r.is_real
