@@ -1,12 +1,18 @@
 """Closed-form spectra for exponential and rational wells via superpotential
-hierarchies, plus a finite-difference verifier and a small CLI."""
+hierarchies, plus a finite-difference verifier and a small CLI.
+
+The finite-difference verifier needs scipy, whose import costs more than a
+closed-form job; its names load on first use (PEP 562), so `import susyhier`
+and the closed-form commands never import it.
+"""
+import importlib
 
 from .errors import (ConfigError, ConvergenceFailureError, DegenerateQuadraticError,
                      GridTooCoarseError, InvalidModelError, NotNormalizableError,
                      PoleOnDomainError, SusyhierError, UnsupportedFamilyError,
                      ZeroOmegaError)
 from .units import DEFAULT_UNITS, UnitSystem
-from .grids import Grid, symmetric_grid
+from .grids import Grid, ScanAxis, symmetric_grid
 from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller,
                          PoschlTellerPT, PotentialModel, SymmetryClass,
                          classify_symmetry, ensure_no_pole, eval_potential,
@@ -24,14 +30,31 @@ from .spectra import (EnergyRecord, QuantumNumbers, SpectrumFormula,
                       energy_morse_shifted, energy_poschl_teller, formula_for,
                       groundstate_wavefunction, selfconsistent_record,
                       spectrum_records)
-from .verifier import (ComparisonReport, DiscretizedHamiltonian, MatchedPair,
-                       NumericSpectrum, ScanAxis, ScanRecord, Verdict,
-                       bound_states, build_hamiltonian, conjugate_pairing_ok,
-                       converged_spectrum, eigen_spectrum, reality_scan, verify)
 from .config import (RunConfig, default_grid, load_config, parse_config,
                      parse_complex_literal)
 
 __version__ = "0.1.0"
+
+_VERIFIER_NAMES = frozenset({
+    "ComparisonReport", "DiscretizedHamiltonian", "MatchedPair", "NumericSpectrum",
+    "ScanRecord", "Verdict", "bound_states", "build_hamiltonian",
+    "conjugate_pairing_ok", "converged_spectrum", "eigen_spectrum", "reality_scan",
+    "verify",
+})
+
+
+def __getattr__(name):
+    if name == "verifier":
+        return importlib.import_module(".verifier", __name__)
+    if name in _VERIFIER_NAMES:
+        value = getattr(importlib.import_module(".verifier", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _VERIFIER_NAMES)
 
 __all__ = [
     "SusyhierError", "InvalidModelError", "PoleOnDomainError", "ZeroOmegaError",

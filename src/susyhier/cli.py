@@ -8,6 +8,9 @@ non-convergence, 3 verification mismatch (Hermitian families only).
 
 All data rows are serialized with shortest round-trip decimals so repeated
 runs on the same config are byte-identical; warnings go to stderr.
+
+`verify` and `scan` import the finite-difference verifier (and with it scipy)
+when they run, so the closed-form commands start without it.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from .errors import (ConfigError, ConvergenceFailureError, GridTooCoarseError,
 from .hierarchy import Mode
 from .potentials import is_structurally_hermitian
 from .spectra import groundstate_wavefunction, spectrum_records
-from .verifier import Verdict, reality_scan, verify
 
 _MODE_TOKENS = {"paper-literal": Mode.PAPER_LITERAL,
                 "self-consistent": Mode.SELF_CONSISTENT}
@@ -74,6 +76,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
+    from .verifier import Verdict, verify
     records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units,
                                self_consistent=(cfg.mode is Mode.SELF_CONSISTENT))
     report = verify(cfg.model, records, cfg.grid, cfg.tol_abs, cfg.units)
@@ -119,6 +122,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
 def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
     if cfg.scan1 is None or cfg.scan2 is None:
         raise ConfigError("[run]: scan command needs scan1_* and scan2_* axes")
+    from .verifier import reality_scan
     records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid,
                            tol_imag=cfg.tol_imag, units=cfg.units,
                            workers=cfg.workers)

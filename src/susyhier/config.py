@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .grids import Grid
+from .grids import Grid, ScanAxis
 from .hierarchy import Mode
 from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller,
                          PoschlTellerPT, PotentialModel)
 from .units import UnitSystem
-from .verifier import ScanAxis
 
 _FAMILIES = {
     "morse_general": MorseGeneral,

@@ -1,4 +1,4 @@
-"""Uniform 1-D grids."""
+"""Uniform 1-D grids and the parameter axes of the reality scan."""
 from __future__ import annotations
 
 import math
@@ -53,3 +53,25 @@ def symmetric_points(grid: Grid) -> np.ndarray:
         raise InvalidModelError("grid is not symmetric about 0")
     m = (n - 1) / 2.0
     return (np.arange(n) - m) * grid.h
+
+
+@dataclass(frozen=True)
+class ScanAxis:
+    """One swept component of a complex parameter of the rational well."""
+
+    param: str        # "v0" | "q"
+    component: str    # "re" | "im"
+    start: float
+    stop: float
+    count: int
+
+    def __post_init__(self):
+        if self.param not in ("v0", "q"):
+            raise InvalidModelError(f"scan parameter must be v0 or q, got {self.param!r}")
+        if self.component not in ("re", "im"):
+            raise InvalidModelError(f"scan component must be re or im, got {self.component!r}")
+        if self.count < 1:
+            raise InvalidModelError("scan count must be >= 1")
+
+    def values(self) -> np.ndarray:
+        return np.linspace(self.start, self.stop, self.count)

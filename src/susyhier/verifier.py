@@ -4,8 +4,9 @@ Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
 wells go through the symmetric tridiagonal solver; complex-valued wells are
 promoted to dense storage and solved with the general eigensolver.
 Convergence is certified by comparing spacings h and h/2 and reporting the
-Richardson-extrapolated eigenvalues.  The reality scan needs only the states
-below the continuum and solves for those alone (`_states_below`).
+Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only.  The
+reality scan needs only the states below the continuum and solves for those
+alone (`_states_below`).
 """
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eig, eigh_tridiagonal
+from scipy.linalg import eig, eigh_tridiagonal, eigvals
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 
 from .errors import PoleOnDomainError, InvalidModelError
-from .grids import Grid
+from .grids import Grid, ScanAxis
 from .potentials import (PoschlTeller, PotentialModel, ensure_no_pole, eval_potential,
                          reality_condition)
 from .spectra import EnergyRecord
@@ -33,6 +34,10 @@ EDGE_DECAY_RTOL = 1e-6
 # shift-invert Arnoldi starts with this many eigenpairs and doubles it until
 # the numerical-range certificate holds
 ARNOLDI_START_K = 16
+
+# two levels whose distance from each other's conjugate is within this share
+# of max(1, |E|) form a conjugate pair whose real parts tie to roundoff
+CONJUGATE_TIE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,12 @@ class DiscretizedHamiltonian:
         return bool(np.all(self.diagonal.imag == 0.0))
 
     def dense(self) -> np.ndarray:
+        """H as one N x N array, in Fortran order so LAPACK can work in place."""
         n = self.dimension
-        m = np.zeros((n, n), dtype=complex)
+        m = np.zeros((n, n), dtype=complex, order="F")
         np.fill_diagonal(m, self.diagonal)
-        off = np.full(n - 1, self.off_diagonal)
-        m += np.diag(off, 1) + np.diag(off, -1)
+        i = np.arange(n - 1)
+        m[i, i + 1] = m[i + 1, i] = self.off_diagonal
         return m
 
 
@@ -81,14 +87,22 @@ class NumericSpectrum:
     richardson_delta: float
 
 
-def _sorted_eig(ham: DiscretizedHamiltonian, k: int):
+def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
+    """k lowest eigenvalues by (Re, Im) and, with vectors, their eigenvector
+    columns (else None)."""
     k = min(k, ham.dimension)
     if ham.is_real:
-        vals, vecs = eigh_tridiagonal(ham.diagonal.real,
-                                      np.full(ham.dimension - 1, ham.off_diagonal),
-                                      select="i", select_range=(0, k - 1))
+        d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
+        if not vectors:
+            vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                    select_range=(0, k - 1))
+            return vals.astype(complex), None
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         return vals.astype(complex), vecs.astype(complex)
-    vals, vecs = eig(ham.dense(), right=True)
+    if not vectors:
+        vals = eigvals(ham.dense(), overwrite_a=True)
+        return vals[np.lexsort((vals.imag, vals.real))[:k]], None
+    vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
     order = np.lexsort((vals.imag, vals.real))[:k]
     return vals[order], vecs[:, order]
 
@@ -156,33 +170,71 @@ def _states_below(ham: DiscretizedHamiltonian, threshold: float) -> NumericSpect
                            converged=False, richardson_delta=float("nan"))
 
 
-def eigen_spectrum(ham: DiscretizedHamiltonian, k: int) -> NumericSpectrum:
-    """k lowest-by-real-part eigenpairs of a single discretization."""
+def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
+                   vectors: bool = True) -> NumericSpectrum:
+    """k lowest-by-real-part eigenpairs of a single discretization.
+
+    With vectors=False only the eigenvalues are computed and `eigenvectors`
+    is None.
+    """
     if k < 1:
         raise InvalidModelError("k must be positive")
-    vals, vecs = _sorted_eig(ham, k)
+    vals, vecs = _sorted_eig(ham, k, vectors)
     return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid,
                            converged=False, richardson_delta=float("nan"))
 
 
+def _conjugates_first(vals: np.ndarray) -> np.ndarray:
+    """Index order of (Re, Im)-sorted levels that puts the Im < 0 partner first
+    in every adjacent conjugate pair whose real parts tie to roundoff."""
+    order = np.arange(len(vals))
+    i = 0
+    while i + 1 < len(vals):
+        a, b = vals[i], vals[i + 1]
+        if abs(b - np.conj(a)) <= CONJUGATE_TIE_RTOL * max(1.0, abs(a)):
+            if a.imag > 0:
+                order[i], order[i + 1] = i + 1, i
+            i += 2
+        else:
+            i += 1
+    return order
+
+
+def _richardson_levels(ham: DiscretizedHamiltonian, k: int, vectors: bool):
+    """The k lowest levels of one grid, tied conjugate pairs Im < 0 first.
+
+    A complex well's solve looks one level past k, so that a pair which the
+    cut splits is ordered too; the dense solver computes every level anyway.
+    """
+    spec = eigen_spectrum(ham, k if ham.is_real else k + 1, vectors)
+    order = _conjugates_first(spec.eigenvalues)[:k]
+    vecs = None if spec.eigenvectors is None else spec.eigenvectors[:, order]
+    return spec.eigenvalues[order], vecs
+
+
 def converged_spectrum(model: PotentialModel, grid: Grid, k: int,
                        units: UnitSystem = DEFAULT_UNITS,
-                       tol_abs: float = 1e-3) -> NumericSpectrum:
+                       tol_abs: float = 1e-3, vectors: bool = True) -> NumericSpectrum:
     """Solve at h and h/2, certify |E(h) - E(h/2)| < tol_abs/2, extrapolate.
 
     The returned eigenvalues are the O(h^4) Richardson combination
-    (4 E_{h/2} - E_h)/3; eigenvectors come from the fine grid.
+    (4 E_{h/2} - E_h)/3 of the levels with the same index on both grids.
+    Within a conjugate pair whose real parts tie to roundoff, the (Re, Im)
+    order is roundoff too, so on each grid such a pair is put with its
+    Im < 0 partner first, and E is never combined with the other grid's E*.
+    Eigenvectors come from the fine grid, and only with vectors=True (else
+    None); the coarse grid never computes them.
     """
-    coarse = eigen_spectrum(build_hamiltonian(model, grid, units), k)
+    coarse, _ = _richardson_levels(build_hamiltonian(model, grid, units), k, False)
     fine_grid = grid.refined()
-    fine = eigen_spectrum(build_hamiltonian(model, fine_grid, units), k)
-    n = min(len(coarse.eigenvalues), len(fine.eigenvalues))
-    deltas = np.abs(coarse.eigenvalues[:n] - fine.eigenvalues[:n])
+    fine, fine_vecs = _richardson_levels(build_hamiltonian(model, fine_grid, units), k,
+                                         vectors)
+    n = min(len(coarse), len(fine))
+    deltas = np.abs(coarse[:n] - fine[:n])
     delta = float(deltas.max()) if n else float("nan")
-    extrapolated = (4.0 * fine.eigenvalues[:n] - coarse.eigenvalues[:n]) / 3.0
+    extrapolated = (4.0 * fine[:n] - coarse[:n]) / 3.0
     return NumericSpectrum(eigenvalues=extrapolated,
-                           eigenvectors=None if fine.eigenvectors is None
-                           else fine.eigenvectors[:, :n],
+                           eigenvectors=None if fine_vecs is None else fine_vecs[:, :n],
                            grid=fine_grid, converged=bool(delta < tol_abs / 2.0),
                            richardson_delta=delta)
 
@@ -284,7 +336,7 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
         raise InvalidModelError("no admissible analytic levels to verify")
     admissible.sort(key=lambda r: (r.nq.l, r.nq.n))
     k = len(admissible) + k_extra
-    num = converged_spectrum(model, grid, k, units, tol_abs)
+    num = converged_spectrum(model, grid, k, units, tol_abs, vectors=False)
     assignment = _greedy_pairs(admissible, num.eigenvalues)
     pairs = []
     matched_n = set()
@@ -316,28 +368,6 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
 # ---------------------------------------------------------------------------
 # parameter-plane reality scan
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanAxis:
-    """One swept component of a complex parameter of the rational well."""
-
-    param: str        # "v0" | "q"
-    component: str    # "re" | "im"
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.param not in ("v0", "q"):
-            raise InvalidModelError(f"scan parameter must be v0 or q, got {self.param!r}")
-        if self.component not in ("re", "im"):
-            raise InvalidModelError(f"scan component must be re or im, got {self.component!r}")
-        if self.count < 1:
-            raise InvalidModelError("scan count must be >= 1")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
 
 @dataclass(frozen=True)
 class ScanRecord:
