@@ -15,6 +15,7 @@ when they run, so the closed-form commands start without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from typing import Callable, Optional
@@ -163,6 +164,8 @@ _COMMANDS: dict[str, Callable[[RunConfig], tuple[str, list[str], int]]] = {
 }
 
 
+# parsing does not change the parser, so one serves every main() call
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="susyhier",

@@ -16,9 +16,9 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eig, eigh_tridiagonal, eigvals
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
+from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import PoleOnDomainError, InvalidModelError
 from .grids import Grid, ScanAxis
@@ -31,9 +31,14 @@ from .units import UnitSystem, DEFAULT_UNITS
 # to the peak, for the state to count as bound
 EDGE_DECAY_RTOL = 1e-6
 
-# shift-invert Arnoldi starts with this many eigenpairs and doubles it until
-# the numerical-range certificate holds
+# shift-invert Arnoldi asks for at most this many eigenpairs at first and
+# doubles the count until the numerical-range certificate holds; a grid with
+# N - 1 <= ARNOLDI_START_K interior points goes to the dense solver instead
 ARNOLDI_START_K = 16
+
+# the first Arnoldi call asks for this many eigenpairs beyond the number of
+# levels that the Hermitian part of H has below the threshold
+ARNOLDI_MARGIN = 4
 
 # two levels whose distance from each other's conjugate is within this share
 # of max(1, |E|) form a conjugate pair whose real parts tie to roundoff
@@ -107,21 +112,27 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     return vals[order], vecs[:, order]
 
 
-def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float):
+def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,
+                       k: int):
     """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius.
 
-    Shift-invert Arnoldi on the tridiagonal H, with k doubling from
-    ARNOLDI_START_K.  None when that would take k >= N - 1 pairs, or when
-    ARPACK does not converge.
+    Shift-invert Arnoldi on the tridiagonal H, with k pairs at first and k
+    doubling from there; H - sigma is factored once by LAPACK's tridiagonal
+    LU.  None when N - 1 <= ARNOLDI_START_K, when k would reach N - 1, when
+    H - sigma is exactly singular, or when ARPACK does not converge.
     """
     n = ham.dimension
+    if n - 1 <= ARNOLDI_START_K:
+        return None
     off = np.full(n - 1, ham.off_diagonal, dtype=complex)
-    lu = splu(sp.diags([off, ham.diagonal - sigma, off], [-1, 0, 1], format="csc"))
-    op = LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+    dl, d, du, du2, ipiv, info = zgttrf(off, ham.diagonal - sigma, off)
+    if info != 0:
+        return None
+    op = LinearOperator((n, n), matvec=lambda b: zgttrs(dl, d, du, du2, ipiv, b)[0],
+                        dtype=complex)
     # a fixed start vector with no symmetry keeps the output deterministic and
     # overlaps every eigenvector, odd ones in a symmetric well included
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
-    k = ARNOLDI_START_K
     while k < n - 1:
         try:
             mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=0)
@@ -145,22 +156,29 @@ def _states_below(ham: DiscretizedHamiltonian, threshold: float) -> NumericSpect
     eigenvalues nearest the centre of the box [min Re V, threshold] x
     [min Im V, max Im V] until the farthest of them lies outside the circle
     around the box, which proves that none inside it is missing; the dense
-    solver takes over where shift-invert Arnoldi cannot give that proof.
+    solver takes over where shift-invert Arnoldi cannot give that proof.  The
+    first Arnoldi call asks for as many pairs as the Hermitian part Re H has
+    levels in the same window, plus ARNOLDI_MARGIN, at most ARNOLDI_START_K:
+    that count follows the depth of the well, and the certificate corrects a
+    guess that falls short.
     """
     n = ham.dimension
     v = ham.diagonal + 2.0 * ham.off_diagonal
     vals = np.zeros(0, dtype=complex)
     vecs = np.zeros((n, 0), dtype=complex)
     if v.real.min() < threshold:
+        d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
+        window = (v.real.min() - 1.0, threshold)
         if ham.is_real:
-            vals, vecs = eigh_tridiagonal(ham.diagonal.real, np.full(n - 1, ham.off_diagonal),
-                                          select="v",
-                                          select_range=(v.real.min() - 1.0, threshold))
+            vals, vecs = eigh_tridiagonal(d, e, select="v", select_range=window)
         else:
+            m = len(eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                     select_range=window))
             sigma = complex(0.5 * (v.real.min() + threshold),
                             0.5 * (v.imag.min() + v.imag.max()))
             found = _certified_nearest(ham, sigma,
-                                       abs(complex(threshold, v.imag.max()) - sigma))
+                                       abs(complex(threshold, v.imag.max()) - sigma),
+                                       min(ARNOLDI_START_K, m + ARNOLDI_MARGIN))
             vals, vecs = found if found is not None else _sorted_eig(ham, n)
         below = vals.real < threshold
         vals, vecs = vals[below], vecs[:, below]

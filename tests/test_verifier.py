@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from susyhier import (
     conjugate_pairing_ok,
     converged_spectrum,
     eigen_spectrum,
+    load_config,
     reality_scan,
     spectrum_records,
     symmetric_grid,
@@ -373,3 +375,103 @@ def test_reality_scan_reports_points_without_bound_states():
         assert r.n_retained == 0
         assert math.isnan(r.max_im_e)
         assert not r.is_real
+
+
+# ---------------------------------------------------------------------------
+# first Arnoldi size from the Hermitian part, and the tridiagonal LU
+# ---------------------------------------------------------------------------
+
+SCAN_LATTICE = load_config(str(Path(__file__).parent / "data" / "scan_lattice.ini"))
+
+
+def scan_lattice_models():
+    cfg = SCAN_LATTICE
+    return [verifier_mod._with_component(verifier_mod._with_component(cfg.model, cfg.scan1, p1),
+                                         cfg.scan2, p2)
+            for p1 in cfg.scan1.values() for p2 in cfg.scan2.values()]
+
+
+def recording_eigs(monkeypatch):
+    ks = []
+    arnoldi = verifier_mod.eigs
+
+    def recording(op, k, **kwargs):
+        ks.append(k)
+        return arnoldi(op, k=k, **kwargs)
+
+    monkeypatch.setattr(verifier_mod, "eigs", recording)
+    return ks
+
+
+def test_scan_lattice_first_k_is_hermitian_count_plus_margin(monkeypatch):
+    # one eigs call per complex point, sized min(16, m + 4) with m the levels
+    # of Re H below the threshold, counted here by a dense symmetric solve
+    cfg = SCAN_LATTICE
+    ks = recording_eigs(monkeypatch)
+    expected = []
+    for model in scan_lattice_models():
+        ham = build_hamiltonian(model, cfg.grid)
+        if ham.is_real:
+            continue
+        re_h = ham.dense().real
+        m = int(np.count_nonzero(np.linalg.eigvalsh(re_h) < 0.0))
+        expected.append(min(verifier_mod.ARNOLDI_START_K, m + verifier_mod.ARNOLDI_MARGIN))
+    records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
+    assert all(r.status == "ok" for r in records)
+    assert len(expected) == 90
+    assert ks == expected
+    assert max(ks) < verifier_mod.ARNOLDI_START_K
+
+
+def test_targeted_solve_without_margin_grows_k_and_stays_exact(monkeypatch):
+    grid = SCAN_LATTICE.grid
+    models = [m for m in scan_lattice_models()
+              if not build_hamiltonian(m, grid).is_real]
+    sized = [verifier_mod._states_below(build_hamiltonian(m, grid), 0.0) for m in models]
+    ks = recording_eigs(monkeypatch)
+    monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", 0)
+    grown = []
+    for model, reference in zip(models, sized):
+        ks.clear()
+        spec = verifier_mod._states_below(build_hamiltonian(model, grid), 0.0)
+        assert len(spec.eigenvalues) == len(reference.eigenvalues)
+        scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
+        assert np.allclose(spec.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-10 * scale)
+        if len(ks) > 1:
+            assert ks[1] == 2 * ks[0]
+            grown.append(model)
+    assert grown
+    # the dense reference costs more than the whole lattice; a few points suffice
+    for model in grown[:3]:
+        assert_targeted_matches_dense(model, grid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(v0_re=st.floats(12.0, 60.0), v0_im=st.floats(-6.0, 6.0),
+       q_re=st.floats(0.05, 2.0), q_im=st.floats(-2.0, 2.0))
+def test_targeted_bound_states_match_dense_on_deep_wells(v0_re, v0_im, q_re, q_im):
+    model = PoschlTeller(complex(v0_re, v0_im), complex(q_re, q_im))
+    assert_targeted_matches_dense(model, Grid(-10.0, 10.0, 129))
+
+
+def test_targeted_solve_singular_factor_takes_dense_path(monkeypatch):
+    # zgttrf reports an exactly zero pivot through info > 0
+    def singular(dl, d, du):
+        return dl, d, du, None, None, 1
+
+    def no_arnoldi(*args, **kwargs):
+        raise AssertionError("shift-invert Arnoldi ran on a singular factor")
+
+    dense_calls = []
+    sorted_eig = verifier_mod._sorted_eig
+
+    def counting_dense(ham, k, vectors=True):
+        dense_calls.append(k)
+        return sorted_eig(ham, k, vectors)
+
+    monkeypatch.setattr(verifier_mod, "zgttrf", singular)
+    monkeypatch.setattr(verifier_mod, "eigs", no_arnoldi)
+    monkeypatch.setattr(verifier_mod, "_sorted_eig", counting_dense)
+    model = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j)
+    assert_targeted_matches_dense(model, SCAN_GRID)
+    assert dense_calls[0] == build_hamiltonian(model, SCAN_GRID).dimension
