@@ -48,17 +48,6 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}i"
 
 
-def _family_token(model) -> str:
-    return {
-        "MorseGeneral": "morse_general",
-        "MorseNonPT": "morse_nonpt",
-        "MorsePT1": "morse_pt1",
-        "MorsePT2": "morse_pt2",
-        "PoschlTeller": "poschl_teller",
-        "PoschlTellerPT": "poschl_teller_pt",
-    }[type(model).__name__]
-
-
 def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
     records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units,
                                self_consistent=(cfg.mode is Mode.SELF_CONSISTENT))
@@ -84,7 +73,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
     gating = is_structurally_hermitian(cfg.model)
     lines = [
         "# verify report",
-        f"family = {_family_token(cfg.model)}",
+        f"family = {cfg.model.token}",
         f"mode = {cfg.mode.value}",
         f"role = {'gating' if gating else 'diagnostic'}",
         f"verdict = {report.verdict.value}",

@@ -10,38 +10,15 @@ parse cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Container, Optional
 
 from .errors import ConfigError
 from .grids import Grid, ScanAxis
 from .hierarchy import Mode
-from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller,
-                         PoschlTellerPT, PotentialModel)
+from .potentials import FAMILIES, PotentialModel
 from .units import UnitSystem
 
-_FAMILIES = {
-    "morse_general": MorseGeneral,
-    "morse_nonpt": MorseNonPT,
-    "morse_pt1": MorsePT1,
-    "morse_pt2": MorsePT2,
-    "poschl_teller": PoschlTeller,
-    "poschl_teller_pt": PoschlTellerPT,
-}
-
-# key -> value kind, per family; "alpha" is optional everywhere it appears
-_MODEL_KEYS = {
-    "morse_general": {"v1": "complex", "v2": "complex", "alpha": "real"},
-    "morse_nonpt": {"d": "real", "p": "real"},
-    "morse_pt1": {"v1": "complex", "v2": "complex"},
-    "morse_pt2": {"omega": "real", "d": "real", "alpha": "real"},
-    "poschl_teller": {"v0": "complex", "q": "complex", "alpha": "real"},
-    "poschl_teller_pt": {"v0": "real", "q": "real", "alpha": "real"},
-}
-_OPTIONAL_MODEL_KEYS = {"alpha"}
-
-_GRID_KEYS = {"x_min": "real", "x_max": "real", "n_points": "int"}
-_UNITS_KEYS = {"hbar": "real", "mass": "real", "e_sq": "real"}
 _RUN_KEYS = {
     "mode": "str", "l": "int", "l_max": "int", "n_max": "int",
     "tol_abs": "real", "tol_imag": "real", "workers": "int",
@@ -87,6 +64,11 @@ def _parse_int(text: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
 
 
+# [model], [grid] and [units] keys are the fields of the class they build;
+# a field's annotation picks the parser of its value
+_PARSERS = {"complex": parse_complex_literal, "float": _parse_real, "int": _parse_int}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: PotentialModel
@@ -106,19 +88,7 @@ class RunConfig:
 
 def default_grid(model: PotentialModel) -> Grid:
     """Family-appropriate evaluation window when the config has no [grid]."""
-    n = 4000
-    if isinstance(model, MorseGeneral):
-        a = model.alpha
-        return Grid(-3.0 / a, 30.0 / a, n)
-    if isinstance(model, MorseNonPT):
-        return Grid(-3.0, 30.0, n)
-    if isinstance(model, MorsePT1):
-        return Grid(-20.0, 20.0, n)
-    if isinstance(model, MorsePT2):
-        a = model.alpha
-        return Grid(-20.0 / a, 20.0 / a, n)
-    a = model.alpha  # rational families
-    return Grid(-10.0 / a, 10.0 / a, n)
+    return Grid(*model.window, 4000)
 
 
 def _raw_sections(text: str) -> dict[str, dict[str, str]]:
@@ -156,10 +126,11 @@ def _build_model(items: dict[str, str]) -> PotentialModel:
     if "family" not in items:
         raise ConfigError("[model]: missing required key 'family'")
     family = items["family"]
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ConfigError(f"[model]: unknown family {family!r} "
-                          f"(choose from {', '.join(sorted(_FAMILIES))})")
-    allowed = _MODEL_KEYS[family]
+                          f"(choose from {', '.join(sorted(FAMILIES))})")
+    # a field with a default may be left out
+    allowed = {f.name: f for f in fields(FAMILIES[family])}
     kwargs = {}
     for key, value in items.items():
         if key == "family":
@@ -167,19 +138,26 @@ def _build_model(items: dict[str, str]) -> PotentialModel:
         if key not in allowed:
             raise ConfigError(f"[model]: key {key!r} is not valid for family {family!r}")
         where = f"[model] {key}"
-        kwargs[key] = (parse_complex_literal(value, where) if allowed[key] == "complex"
-                       else _parse_real(value, where))
-    missing = set(allowed) - _OPTIONAL_MODEL_KEYS - set(kwargs)
+        kwargs[key] = _PARSERS[allowed[key].type](value, where)
+    missing = {k for k, f in allowed.items() if f.default is MISSING} - set(kwargs)
     if missing:
         raise ConfigError(f"[model]: family {family!r} requires "
                           f"{', '.join(sorted(missing))}")
-    return _FAMILIES[family](**kwargs)
+    return FAMILIES[family](**kwargs)
 
 
-def _check_keys(section: str, items: dict[str, str], allowed: dict[str, str]):
+def _check_keys(section: str, items: dict[str, str], allowed: Container[str]):
     for key in items:
         if key not in allowed:
             raise ConfigError(f"[{section}]: unknown key {key!r}")
+
+
+def _field_values(section: str, items: dict[str, str], cls) -> dict:
+    """The fields of dataclass `cls` that the section sets, parsed."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    _check_keys(section, items, kinds)
+    return {key: _PARSERS[kind](items[key], f"[{section}] {key}")
+            for key, kind in kinds.items() if key in items}
 
 
 def _scan_axis(items: dict[str, str], prefix: str) -> Optional[ScanAxis]:
@@ -203,27 +181,8 @@ def parse_config(text: str) -> RunConfig:
     model = _build_model(sections["model"])
 
     grid_items = sections.get("grid", {})
-    _check_keys("grid", grid_items, _GRID_KEYS)
-    base = default_grid(model)
-    grid = Grid(
-        x_min=_parse_real(grid_items["x_min"], "[grid] x_min") if "x_min" in grid_items
-        else base.x_min,
-        x_max=_parse_real(grid_items["x_max"], "[grid] x_max") if "x_max" in grid_items
-        else base.x_max,
-        n_points=_parse_int(grid_items["n_points"], "[grid] n_points")
-        if "n_points" in grid_items else base.n_points,
-    )
-
-    units_items = sections.get("units", {})
-    _check_keys("units", units_items, _UNITS_KEYS)
-    units = UnitSystem(
-        hbar=_parse_real(units_items["hbar"], "[units] hbar")
-        if "hbar" in units_items else 1.0,
-        mass=_parse_real(units_items["mass"], "[units] mass")
-        if "mass" in units_items else 0.5,
-        e_sq=_parse_real(units_items["e_sq"], "[units] e_sq")
-        if "e_sq" in units_items else 1.0,
-    )
+    grid = replace(default_grid(model), **_field_values("grid", grid_items, Grid))
+    units = UnitSystem(**_field_values("units", sections.get("units", {}), UnitSystem))
 
     run_items = sections.get("run", {})
     _check_keys("run", run_items, _RUN_KEYS)
@@ -262,7 +221,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(model=model, grid=grid, units=units, mode=_MODES[mode_token],
                      l=l, l_max=l_max, n_max=n_max, tol_abs=tol_abs,
                      tol_imag=tol_imag, workers=workers, scan1=scan1, scan2=scan2,
-                     grid_given=bool(grid_items))
+                     grid_given="n_points" in grid_items)
 
 
 def load_config(path: str) -> RunConfig:

@@ -11,7 +11,6 @@ Two modes exist side by side and are never mixed:
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -19,13 +18,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateQuadraticError, InvalidModelError, UnsupportedFamilyError
-from .expressions import (DerivativeScale, ExpTerm, RationalPartner, RationalTerm,
-                          SuperpotentialExpr, exp_sum, scale_value)
+from .expressions import (DerivativeScale, RationalPartner, SuperpotentialExpr, exp_sum,
+                          scale_value)
 from .grids import Grid
-from .potentials import (MORSE_FAMILIES, MorseGeneral, MorseNonPT, MorsePT1, MorsePT2,
-                         PoschlTeller, PoschlTellerPT, PotentialModel, lambda_for,
-                         morse_exponential_coefficients)
-from .spectra import energy_record
+from .potentials import MORSE_FAMILIES, PotentialModel, morse_exponential_coefficients
 from .units import UnitSystem, DEFAULT_UNITS
 
 
@@ -38,52 +34,12 @@ class Mode(Enum):
 # literal ansatz
 # ---------------------------------------------------------------------------
 
-def _pt_constant(l: int, units: UnitSystem) -> float:
-    """sqrt(m/2) (e^2/hbar) [1/(l+1) - (l+1) beta/2]."""
-    bracket = 1.0 / (l + 1) - (l + 1) * units.beta / 2.0
-    return math.sqrt(units.mass / 2.0) * units.e_sq / units.hbar * bracket
-
-
-def _pt_kernel(model: Union[PoschlTeller, PoschlTellerPT]) -> SuperpotentialExpr:
-    """Unit-strength rational factor of the family's superpotential."""
-    if isinstance(model, PoschlTellerPT):
-        term = RationalTerm(model.q, model.q**2, power=4)
-        return SuperpotentialExpr(1j * model.alpha, (), (term,))
-    if model.v0.real == 0.0 and model.q.real == 0.0 and model.q.imag != 0.0:
-        qi = model.q.imag
-        term = RationalTerm(qi, qi * qi, power=4)
-        return SuperpotentialExpr(complex(model.alpha), (), (term,))
-    return SuperpotentialExpr(complex(model.alpha), (), (RationalTerm(1.0, model.q, power=2),))
-
-
 def superpotential(model: PotentialModel, l: int, units: UnitSystem = DEFAULT_UNITS
                    ) -> SuperpotentialExpr:
     """The published ansatz W for hierarchy depth l."""
     if l < 0:
         raise InvalidModelError("l must be nonnegative")
-    if isinstance(model, MorseGeneral):
-        lam = lambda_for(model, units)
-        if model.v1 == 0:
-            raise InvalidModelError("v1 must be nonzero for the two-term exponential ansatz")
-        q = model.v2 / model.v1
-        return exp_sum(complex(model.alpha), (-lam, 1), (lam * q - (2 * l + 1) / 2.0, 0))
-    if isinstance(model, MorseNonPT):
-        lam = lambda_for(model, units)
-        return exp_sum(1.0 + 0j, (-1j * lam, 1), (lam - (2 * l + 1) / 2.0, 0))
-    if isinstance(model, MorsePT1):
-        lam = lambda_for(model, units)
-        return exp_sum(1j, (-lam, 1), (lam - (2 * l + 1) / 2.0, 0))
-    if isinstance(model, MorsePT2):
-        c = 2 * l + 1 + model.d / (2.0 * model.omega)
-        return exp_sum(1j * model.alpha, (-1.0, 1), (c, 0))
-    if isinstance(model, (PoschlTeller, PoschlTellerPT)):
-        kernel = _pt_kernel(model)
-        strength = -units.hbar / math.sqrt(2.0 * units.mass) * (l + 1)
-        term = kernel.rational_terms[0]
-        scaled = RationalTerm(strength * term.coeff, term.q, term.power)
-        const = ExpTerm(_pt_constant(l, units), 0)
-        return SuperpotentialExpr(kernel.rate, (const,), (scaled,))
-    raise UnsupportedFamilyError(f"no superpotential ansatz for {type(model).__name__}")
+    return model.superpotential(l, units)
 
 
 def partner_potential(model: PotentialModel, l: int, units: UnitSystem = DEFAULT_UNITS
@@ -91,30 +47,7 @@ def partner_potential(model: PotentialModel, l: int, units: UnitSystem = DEFAULT
     """The published partner potential at hierarchy depth l, taken verbatim."""
     if l < 0:
         raise InvalidModelError("l must be nonnegative")
-    if isinstance(model, MorseGeneral):
-        lam = lambda_for(model, units)
-        q = model.v2 / model.v1 if model.v1 != 0 else None
-        if q is None:
-            raise InvalidModelError("v1 must be nonzero for the two-term exponential ansatz")
-        return exp_sum(complex(model.alpha),
-                       (lam * lam, 2), (-lam * lam * q + 2 * l * lam, 1))
-    if isinstance(model, MorseNonPT):
-        lam = lambda_for(model, units)
-        return exp_sum(1.0 + 0j,
-                       (-lam * lam, 2), (-2j * lam * lam + 2j * l * lam, 1))
-    if isinstance(model, MorsePT1):
-        lam = lambda_for(model, units)
-        return exp_sum(1j, (lam * lam, 2), (-lam * lam + 2 * l * lam, 1))
-    if isinstance(model, MorsePT2):
-        c = 2 * l + 1 + model.d / (2.0 * model.omega) + 0.5j * model.alpha
-        return exp_sum(1j * model.alpha, (1.0, 2), (-2.0 * c, 1))
-    if isinstance(model, (PoschlTeller, PoschlTellerPT)):
-        kernel = _pt_kernel(model)
-        ll1 = l * (l + 1)
-        sq = units.kinetic * ll1
-        lin = -units.e_sq * (1.0 - ll1 * units.beta / 2.0)
-        return RationalPartner(kernel=kernel, lin=lin, sq=sq)
-    raise UnsupportedFamilyError(f"no partner potential for {type(model).__name__}")
+    return model.partner(l, units)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +141,7 @@ def riccati_residual(model: PotentialModel, l: int, grid: Grid,
         w = superpotential(model, l, units)
         v = partner_potential(model, l, units)
         if e0 is None:
-            e0 = energy_record(model, 0, l, units).energy
+            e0 = complex(model.level(0, l, units)[0])
     s = scale_value(scale, w.rate)
     x = grid.points()
     wx = w.evaluate(x)
@@ -239,5 +172,5 @@ def hierarchy(model: PotentialModel, l_max: int, mode: Mode = Mode.SELF_CONSISTE
         return [HierarchyLevel(l, sol.partner_level(l), sol.e0_level(l))
                 for l in range(l_max + 1)]
     return [HierarchyLevel(l, partner_potential(model, l, units),
-                           complex(energy_record(model, 0, l, units).energy))
+                           complex(model.level(0, l, units)[0]))
             for l in range(l_max + 1)]

@@ -40,6 +40,10 @@ ARNOLDI_START_K = 16
 # levels that the Hermitian part of H has below the threshold
 ARNOLDI_MARGIN = 4
 
+# verify solves for this many levels beyond the admissible ones, so that box
+# states or conjugate partners sorted in among them cannot crowd a bound level out
+VERIFY_EXTRA_LEVELS = 5
+
 # two levels whose distance from each other's conjugate is within this share
 # of max(1, |E|) form a conjugate pair whose real parts tie to roundoff
 CONJUGATE_TIE_RTOL = 1e-8
@@ -77,7 +81,7 @@ def build_hamiltonian(model: PotentialModel, grid: Grid,
     ensure_no_pole(model, grid.x_min, grid.x_max)
     x = grid.points()[1:-1]
     t = units.kinetic / grid.h**2
-    v = np.asarray(eval_potential(model, x, units), dtype=complex)
+    v = np.asarray(eval_potential(model, x), dtype=complex)
     return DiscretizedHamiltonian(grid=grid, diagonal=2.0 * t + v, off_diagonal=-t)
 
 
@@ -346,14 +350,13 @@ def _greedy_pairs(records: Sequence[EnergyRecord], numeric: np.ndarray):
 
 
 def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
-           tol_abs: float = 1e-3, units: UnitSystem = DEFAULT_UNITS,
-           k_extra: int = 5) -> ComparisonReport:
+           tol_abs: float = 1e-3, units: UnitSystem = DEFAULT_UNITS) -> ComparisonReport:
     """Match admissible closed-form levels against the certified FD spectrum."""
     admissible = [r for r in analytic if r.admissible]
     if not admissible:
         raise InvalidModelError("no admissible analytic levels to verify")
     admissible.sort(key=lambda r: (r.nq.l, r.nq.n))
-    k = len(admissible) + k_extra
+    k = len(admissible) + VERIFY_EXTRA_LEVELS
     num = converged_spectrum(model, grid, k, units, tol_abs, vectors=False)
     assignment = _greedy_pairs(admissible, num.eigenvalues)
     pairs = []
@@ -402,9 +405,7 @@ def _with_component(model: PoschlTeller, axis: ScanAxis, value: float) -> Poschl
     current = getattr(model, axis.param)
     new = (complex(value, current.imag) if axis.component == "re"
            else complex(current.real, value))
-    kwargs = {"v0": model.v0, "q": model.q, "alpha": model.alpha}
-    kwargs[axis.param] = new
-    return PoschlTeller(**kwargs)
+    return replace(model, **{axis.param: new})
 
 
 def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Grid,

@@ -161,6 +161,18 @@ scan2_count = 2
     assert lines[5] == "# agreement: 4/4 ok points have is_real == condition_holds"
 
 
+def test_scan_warns_unless_grid_sets_n_points(tmp_path, capsys):
+    axes = ("\n[run]\nscan1_param = v0\nscan1_component = re\nscan1_start = 6\n"
+            "scan1_stop = 6\nscan1_count = 1\nscan2_param = q\nscan2_component = im\n"
+            "scan2_start = 0\nscan2_stop = 0\nscan2_count = 1\n")
+    for grid, warned in (("", True), ("x_min = -10\n", True), ("n_points = 257\n", False)):
+        cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n"
+                                  f"\n[grid]\n{grid}" + axes)
+        assert main(["scan", "--config", cfg]) == 0
+        err = capsys.readouterr().err
+        assert ("scanning on the default 4000-point grid" in err) is warned, grid
+
+
 def test_scan_requires_both_axes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n")
     assert main(["scan", "--config", cfg]) == 1

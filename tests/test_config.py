@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from susyhier import (
@@ -14,6 +16,7 @@ from susyhier import (
     parse_complex_literal,
     parse_config,
 )
+from susyhier.cli import main
 
 MINIMAL = """
 [model]
@@ -110,19 +113,60 @@ def test_parse_minimal_config_defaults():
     assert not cfg.grid_given
 
 
-@pytest.mark.parametrize("family,params,model,window", [
-    ("morse_general", "v1 = 25\nv2 = 50\nalpha = 2", MorseGeneral(25, 50, 2), (-1.5, 15.0)),
-    ("morse_nonpt", "d = 9\np = 2", MorseNonPT(9, 2), (-3.0, 30.0)),
-    ("morse_pt1", "v1 = 16\nv2 = 12", MorsePT1(16, 12), (-20.0, 20.0)),
-    ("morse_pt2", "omega = 1\nd = 1\nalpha = 2", MorsePT2(1, 1, 2), (-10.0, 10.0)),
-    ("poschl_teller", "v0 = 6\nq = 1", PoschlTeller(6, 1, 1), (-10.0, 10.0)),
-    ("poschl_teller_pt", "v0 = 4\nq = 0.5\nalpha = 2", PoschlTellerPT(4, 0.5, 2), (-5.0, 5.0)),
-])
+# family token, [model] lines, the model they build, its default window, and
+# the kind of every [model] key the family takes
+FAMILY_CASES = [
+    ("morse_general", "v1 = 25\nv2 = 50\nalpha = 2", MorseGeneral(25, 50, 2), (-1.5, 15.0),
+     {"v1": "complex", "v2": "complex", "alpha": "optional real"}),
+    ("morse_nonpt", "d = 9\np = 2", MorseNonPT(9, 2), (-3.0, 30.0),
+     {"d": "real", "p": "real"}),
+    ("morse_pt1", "v1 = 16\nv2 = 12", MorsePT1(16, 12), (-20.0, 20.0),
+     {"v1": "complex", "v2": "complex"}),
+    ("morse_pt2", "omega = 1\nd = 1\nalpha = 2", MorsePT2(1, 1, 2), (-10.0, 10.0),
+     {"omega": "real", "d": "real", "alpha": "optional real"}),
+    ("poschl_teller", "v0 = 6\nq = 1", PoschlTeller(6, 1, 1), (-10.0, 10.0),
+     {"v0": "complex", "q": "complex", "alpha": "optional real"}),
+    ("poschl_teller_pt", "v0 = 4\nq = 0.5\nalpha = 2", PoschlTellerPT(4, 0.5, 2), (-5.0, 5.0),
+     {"v0": "real", "q": "real", "alpha": "optional real"}),
+]
+
+
+@pytest.mark.parametrize("family,params,model,window", [case[:4] for case in FAMILY_CASES])
 def test_family_default_grids(family, params, model, window):
     cfg = parse_config(f"[model]\nfamily = {family}\n{params}\n")
     assert cfg.model == model
     assert (cfg.grid.x_min, cfg.grid.x_max) == window
     assert cfg.grid.n_points == 4000
+
+
+@pytest.mark.parametrize("family,params,model,window,keys", FAMILY_CASES)
+def test_family_keys_follow_model_fields(tmp_path, capsys, family, params, model, window, keys):
+    """The [model] keys, their kinds and which may be left out, pinned per family."""
+    assert [f.name for f in fields(model)] == list(keys)
+    given = dict(line.split(" = ") for line in params.splitlines())
+
+    def parse(values):
+        body = "".join(f"{k} = {v}\n" for k, v in values.items())
+        return parse_config(f"[model]\nfamily = {family}\n{body}")
+
+    for key, kind in keys.items():
+        with_complex = {**given, key: "1+2i"}
+        if kind == "complex":
+            assert getattr(parse(with_complex).model, key) == 1 + 2j
+        else:
+            with pytest.raises(ConfigError, match="expected a real number"):
+                parse(with_complex)
+        without = {k: v for k, v in given.items() if k != key}
+        if kind.startswith("optional"):
+            assert getattr(parse(without).model, key) == getattr(type(model), key)
+        else:
+            with pytest.raises(ConfigError, match=f"requires {key}"):
+                parse(without)
+    path = tmp_path / "verify.ini"
+    path.write_text(f"[model]\nfamily = {family}\n{params}\n[grid]\nn_points = 101\n",
+                    encoding="utf-8")
+    main(["verify", "--config", str(path)])
+    assert f"\nfamily = {family}\n" in capsys.readouterr().out
 
 
 def test_partial_grid_override():
