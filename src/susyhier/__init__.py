@@ -25,7 +25,7 @@ from .hierarchy import (HierarchyLevel, Mode, RiccatiResidualReport,
                         riccati_residual, selfconsistent_for_model,
                         solve_selfconsistent_morse, superpotential)
 from .spectra import (EnergyRecord, QuantumNumbers, SpectrumFormula,
-                      WavefunctionSample, bound_state_admissible, energy_record,
+                      WavefunctionSample, energy_record,
                       energy_morse_complex, energy_morse_general,
                       energy_morse_shifted, energy_poschl_teller, formula_for,
                       groundstate_wavefunction, selfconsistent_record,
@@ -71,7 +71,7 @@ __all__ = [
     "hierarchy", "partner_potential", "riccati_residual", "selfconsistent_for_model",
     "solve_selfconsistent_morse", "superpotential",
     "SpectrumFormula", "QuantumNumbers", "EnergyRecord", "WavefunctionSample",
-    "bound_state_admissible", "energy_record", "energy_morse_complex",
+    "energy_record", "energy_morse_complex",
     "energy_morse_general", "energy_morse_shifted", "energy_poschl_teller",
     "formula_for",
     "groundstate_wavefunction", "selfconsistent_record", "spectrum_records",

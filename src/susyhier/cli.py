@@ -114,8 +114,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
         raise ConfigError("[run]: scan command needs scan1_* and scan2_* axes")
     from .verifier import reality_scan
     records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid,
-                           tol_imag=cfg.tol_imag, units=cfg.units,
-                           workers=cfg.workers)
+                           tol_imag=cfg.tol_imag, units=cfg.units)
     lines = ["param1,param2,max_im_E,is_real,condition_holds,status"]
     for r in records:
         lines.append(",".join([_fmt(r.param1), _fmt(r.param2), _fmt(r.max_im_e),
@@ -130,6 +129,9 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
     if not cfg.grid_given:
         warnings.append("warning: scanning on the default 4000-point grid; "
                         "set [grid] n_points for faster sweeps")
+    if cfg.workers > 1:
+        warnings.append(f"warning: [run] workers = {cfg.workers} is ignored; "
+                        "the scan runs its points in sequence")
     return "\n".join(lines) + "\n", warnings, EXIT_OK
 
 

@@ -1,11 +1,11 @@
 """Strict line-oriented run configuration.
 
-Grammar: `[section]` headers followed by `key = value` lines; `#` starts a
-comment; blank lines are ignored.  Sections are `[model]`, `[grid]`,
-`[units]`, `[run]`.  Complex values are written `a+bi` / `a-bi` (also plain
-`a` or `bi`).  Unknown sections, unknown keys, duplicate keys, and malformed
-values are all hard errors -- nothing is computed from a config that does not
-parse cleanly.
+Grammar: `[section]` headers followed by `key = value` lines; `#` or `;`
+starts a comment, on a line of its own or after a header or value; blank
+lines are ignored.  Sections are `[model]`, `[grid]`, `[units]`, `[run]`.
+Complex values are written `a+bi` / `a-bi` (also plain `a` or `bi`).  Unknown
+sections, unknown keys, duplicate keys, and malformed values are all hard
+errors -- nothing is computed from a config that does not parse cleanly.
 """
 from __future__ import annotations
 
@@ -95,8 +95,9 @@ def _raw_sections(text: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # no value contains '#' or ';', so either one ends the line's content
+        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()

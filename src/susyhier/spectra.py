@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidModelError, NotNormalizableError, UnsupportedFamilyError
+from .errors import InvalidModelError, NotNormalizableError
 from .grids import Grid
 from .hierarchy import selfconsistent_for_model
 # the closed forms live with the model classes and are re-exported here
-from .potentials import (PotentialModel, SpectrumFormula, admissible_morse_complex,
-                         admissible_morse_general, admissible_morse_shifted,
-                         admissible_poschl_teller, energy_morse_complex, energy_morse_general,
-                         energy_morse_shifted, energy_poschl_teller, ensure_no_pole,
-                         is_structurally_hermitian)
+from .potentials import (PotentialModel, SpectrumFormula, energy_morse_complex,
+                         energy_morse_general, energy_morse_shifted, energy_poschl_teller,
+                         ensure_no_pole, is_structurally_hermitian)
 from .units import UnitSystem, DEFAULT_UNITS
 
 
@@ -40,28 +37,6 @@ class EnergyRecord:
     energy: complex
     formula: SpectrumFormula
     admissible: bool
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
-
-def bound_state_admissible(formula: SpectrumFormula, n: int, l: int, *,
-                           lam: Optional[complex] = None, q: Optional[complex] = None,
-                           d: Optional[float] = None, omega: Optional[float] = None,
-                           units: Optional[UnitSystem] = None,
-                           a0: Optional[complex] = None, rate: Optional[complex] = None) -> bool:
-    if formula is SpectrumFormula.MORSE_GENERAL:
-        return admissible_morse_general(lam, q, n, l)
-    if formula is SpectrumFormula.MORSE_COMPLEX:
-        return admissible_morse_complex(lam, n, l)
-    if formula is SpectrumFormula.MORSE_SHIFTED:
-        return admissible_morse_shifted(d, omega, n, l)
-    if formula is SpectrumFormula.POSCHL_TELLER:
-        return admissible_poschl_teller(units or DEFAULT_UNITS, n, l)
-    if formula is SpectrumFormula.SELF_CONSISTENT:
-        return (a0 - (n + l) * rate).real > 0.0
-    raise UnsupportedFamilyError(f"unknown formula {formula!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,16 @@ promoted to dense storage and solved with the general eigensolver.
 Convergence is certified by comparing spacings h and h/2 and reporting the
 Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only.  The
 reality scan needs only the states below the continuum and solves for those
-alone (`_states_below`).
+alone (`_states_below`), and runs its Arnoldi solve on one BLAS thread
+(`_one_blas_thread`).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -116,14 +121,71 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     return vals[order], vecs[:, order]
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_setters() -> tuple:
+    """`openblas_set_num_threads_local` of every OpenBLAS loaded in this process.
+
+    numpy and scipy may each load their own.  Empty where none exports the
+    symbol (another BLAS, OpenBLAS before 0.3.27) or /proc/self/maps is absent.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {f[5] for f in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+                     if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(paths):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+# the setter changes a thread count the whole process shares, so concurrent
+# holders of the cap are counted: the first one in saves the counts and the
+# last one out restores them
+_blas_cap_lock = threading.Lock()
+_blas_cap_holders = 0
+_blas_cap_saved: list = []
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    ARPACK's reverse-communication loop makes many small BLAS calls, on
+    which a second OpenBLAS thread only spins.  The counts are restored on
+    exit, also when the block raises; without a setter this does nothing.
+    """
+    global _blas_cap_holders, _blas_cap_saved
+    with _blas_cap_lock:
+        if _blas_cap_holders == 0:
+            _blas_cap_saved = [(setter, setter(1)) for setter in _openblas_setters()]
+        _blas_cap_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_cap_lock:
+            _blas_cap_holders -= 1
+            if _blas_cap_holders == 0:
+                for setter, count in _blas_cap_saved:
+                    setter(count)
+
+
 def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,
                        k: int):
     """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius.
 
     Shift-invert Arnoldi on the tridiagonal H, with k pairs at first and k
     doubling from there; H - sigma is factored once by LAPACK's tridiagonal
-    LU.  None when N - 1 <= ARNOLDI_START_K, when k would reach N - 1, when
-    H - sigma is exactly singular, or when ARPACK does not converge.
+    LU, and ARPACK runs on one BLAS thread.  None when N - 1 <= ARNOLDI_START_K,
+    when k would reach N - 1, when H - sigma is exactly singular, or when
+    ARPACK does not converge.
     """
     n = ham.dimension
     if n - 1 <= ARNOLDI_START_K:
@@ -139,7 +201,8 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
     while k < n - 1:
         try:
-            mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=0)
+            with _one_blas_thread():
+                mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=0)
         except ArpackNoConvergence:
             return None
         vals = sigma + 1.0 / mu
@@ -409,8 +472,8 @@ def _with_component(model: PoschlTeller, axis: ScanAxis, value: float) -> Poschl
 
 
 def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Grid,
-                 tol_imag: float = 1e-6, units: UnitSystem = DEFAULT_UNITS,
-                 workers: int = 1) -> list[ScanRecord]:
+                 tol_imag: float = 1e-6, units: UnitSystem = DEFAULT_UNITS
+                 ) -> list[ScanRecord]:
     """Lattice scan of the rational well's spectrum-reality diagnostic.
 
     At each lattice point the bound part of the FD spectrum is extracted and
@@ -422,10 +485,8 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
     """
     if not isinstance(model, PoschlTeller):
         raise InvalidModelError("reality scan is defined for the rational well")
-    points = [(p1, p2) for p1 in axis1.values() for p2 in axis2.values()]
 
-    def one(point):
-        p1, p2 = point
+    def one(p1, p2):
         m = _with_component(_with_component(model, axis1, p1), axis2, p2)
         holds = reality_condition(m.v0, m.q)
         try:
@@ -445,7 +506,4 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
                               n_retained=0, is_real=False, condition_holds=holds,
                               status="pole_on_domain")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, points))
-    return [one(p) for p in points]
+    return [one(p1, p2) for p1 in axis1.values() for p2 in axis2.values()]

@@ -173,6 +173,21 @@ def test_scan_warns_unless_grid_sets_n_points(tmp_path, capsys):
         assert ("scanning on the default 4000-point grid" in err) is warned, grid
 
 
+def test_scan_warns_that_workers_is_ignored(tmp_path, capsys):
+    base = ("[model]\nfamily = poschl_teller\nv0 = 6+1i\nq = 1\n\n[grid]\nn_points = 257\n"
+            "\n[run]\nscan1_param = v0\nscan1_component = re\nscan1_start = 6\n"
+            "scan1_stop = 7\nscan1_count = 2\nscan2_param = q\nscan2_component = im\n"
+            "scan2_start = 0\nscan2_stop = 0.5\nscan2_count = 2\n")
+    outputs = []
+    for workers, warned in ((1, False), (2, True)):
+        cfg = write_cfg(tmp_path, base + f"workers = {workers}\n")
+        assert main(["scan", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert ("workers = 2 is ignored" in captured.err) is warned
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 def test_scan_requires_both_axes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n")
     assert main(["scan", "--config", cfg]) == 1

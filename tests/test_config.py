@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,30 @@ def test_parse_minimal_config_defaults():
     assert (cfg.tol_abs, cfg.tol_imag) == (1e-3, 1e-6)
     assert cfg.scan1 is None and cfg.scan2 is None
     assert not cfg.grid_given
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "[grid]                   # optional" in example
+    cfg = parse_config(example)
+    assert cfg.model == MorseGeneral(25.0, 50.0, 1.0)
+    assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_points) == (-3.0, 30.0, 4000)
+    assert (cfg.units.hbar, cfg.units.mass, cfg.units.e_sq) == (1.0, 0.5, 1.0)
+    assert (cfg.mode, cfg.n_max, cfg.tol_imag, cfg.workers) == (Mode.PAPER_LITERAL, 8, 1e-6, 1)
+    assert (cfg.scan1.param, cfg.scan1.stop, cfg.scan2.param, cfg.scan2.count) \
+        == ("v0", 10.5, "q", 10)
+
+
+def test_inline_comments_after_headers_and_values():
+    text = ("; a whole-line comment\n[model] # the well\nfamily = morse_general;c\n"
+            "v1 = 25 # depth\nv2 = 50 ; second\n[grid] ; window\n  # indented\n"
+            "n_points = 401#\n")
+    cfg = parse_config(text)
+    assert cfg.model == MorseGeneral(25.0, 50.0, 1.0)
+    assert cfg.grid.n_points == 401
+    with pytest.raises(ConfigError):  # a comment is not a value
+        parse_config(text.replace("n_points = 401#", "n_points = #401"))
 
 
 # family token, [model] lines, the model they build, its default window, and

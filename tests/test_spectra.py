@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from susyhier import (
+    DEFAULT_UNITS,
     EnergyRecord,
     Grid,
     InvalidModelError,
@@ -20,7 +21,6 @@ from susyhier import (
     SpectrumFormula,
     UnitSystem,
     ZeroOmegaError,
-    bound_state_admissible,
     energy_morse_complex,
     energy_morse_general,
     energy_morse_shifted,
@@ -79,37 +79,42 @@ def test_degeneracy_along_n_plus_shift():
 # admissibility
 # ---------------------------------------------------------------------------
 
+def admissible(model, n, l=0, units=DEFAULT_UNITS):
+    return model.level(n, l, units)[1]
+
+
 def test_general_morse_admissibility_window():
-    ok = [bound_state_admissible(SpectrumFormula.MORSE_GENERAL, n, 0, lam=5.0, q=1.0)
-          for n in range(11)]
+    # lam = sqrt(v1) = 5 and q = v2 / v1 = 1 in the default units
+    ok = [admissible(MorseGeneral(25.0, 25.0), n) for n in range(11)]
     assert ok == [True] * 9 + [False, False]  # n <= 8 only
 
 
 def test_no_bound_states_for_shallow_well():
-    assert not bound_state_admissible(SpectrumFormula.MORSE_GENERAL, 0, 0, lam=1.0, q=0.5)
+    assert not admissible(MorseGeneral(1.0, 0.5), 0)  # lam = 1, q = 0.5
 
 
 def test_admissibility_uses_real_part():
-    assert bound_state_admissible(SpectrumFormula.MORSE_GENERAL, 8, 0, lam=5.0, q=1.0 + 10.0j)
-    assert not bound_state_admissible(SpectrumFormula.MORSE_GENERAL, 9, 0, lam=5.0, q=1.0 + 10.0j)
+    model = MorseGeneral(25.0, 25.0 + 250.0j)  # lam = 5, q = 1 + 10i
+    assert admissible(model, 8)
+    assert not admissible(model, 9)
 
 
 def test_rational_well_monotone_prefix_rule():
     # beta = 1: the n = 1 level mirrors n = 0 exactly, so it is cut
     assert energy_poschl_teller(1.0, ATOMIC, 1, 0) == energy_poschl_teller(1.0, ATOMIC, 0, 0)
-    assert bound_state_admissible(SpectrumFormula.POSCHL_TELLER, 0, 0, units=ATOMIC)
-    assert not bound_state_admissible(SpectrumFormula.POSCHL_TELLER, 1, 0, units=ATOMIC)
-    assert not bound_state_admissible(SpectrumFormula.POSCHL_TELLER, 2, 0, units=ATOMIC)
+    well = PoschlTeller(6.0, 1.0)  # admissibility depends on the units alone
+    assert admissible(well, 0, units=ATOMIC)
+    assert not admissible(well, 1, units=ATOMIC)
+    assert not admissible(well, 2, units=ATOMIC)
     # beta = 0.1: |bracket| decreases up to n = 3, then mirrors at n = 4
     deep = UnitSystem(1.0, 10.0, 1.0)
-    ok = [bound_state_admissible(SpectrumFormula.POSCHL_TELLER, n, 0, units=deep)
-          for n in range(6)]
+    ok = [admissible(well, n, units=deep) for n in range(6)]
     assert ok == [True, True, True, True, False, False]
 
 
 def test_selfconsistent_admissibility():
-    assert bound_state_admissible(SpectrumFormula.SELF_CONSISTENT, 4, 0, a0=4.5, rate=1.0)
-    assert not bound_state_admissible(SpectrumFormula.SELF_CONSISTENT, 5, 0, a0=4.5, rate=1.0)
+    assert selfconsistent_record(4.5, 1.0, 4, 0).admissible
+    assert not selfconsistent_record(4.5, 1.0, 5, 0).admissible
 
 
 def test_admissible_hermitian_ladder_is_increasing_and_negative():

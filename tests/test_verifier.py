@@ -11,6 +11,7 @@ from susyhier import (
     Grid,
     InvalidModelError,
     MorseGeneral,
+    MorsePT1,
     MorsePT2,
     NumericSpectrum,
     PoschlTeller,
@@ -275,13 +276,6 @@ def test_reality_scan_lattice_order_and_pole_status():
         assert r.is_real
 
 
-def test_reality_scan_workers_equivalence():
-    args = (PoschlTeller(6.0, 1.0, 1.0),
-            ScanAxis("v0", "re", 6.0, 8.0, 2),
-            ScanAxis("q", "im", 0.0, 0.5, 2), SCAN_GRID)
-    assert reality_scan(*args) == reality_scan(*args, workers=3)
-
-
 # ---------------------------------------------------------------------------
 # targeted bound-state solve of the reality scan
 # ---------------------------------------------------------------------------
@@ -475,3 +469,97 @@ def test_targeted_solve_singular_factor_takes_dense_path(monkeypatch):
     model = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j)
     assert_targeted_matches_dense(model, SCAN_GRID)
     assert dense_calls[0] == build_hamiltonian(model, SCAN_GRID).dimension
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread for the Arnoldi solve only
+# ---------------------------------------------------------------------------
+
+def scipy_openblas_thread_count():
+    """A getter for the thread count of scipy's OpenBLAS, or None where absent."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "scipy_openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads
+        except (OSError, AttributeError):
+            continue
+        getter.restype = ctypes.c_int
+        return getter
+    return None
+
+
+def scan_lattice_records():
+    cfg = SCAN_LATTICE
+    return reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
+
+
+def test_scan_records_do_not_depend_on_the_thread_cap(monkeypatch):
+    capped = scan_lattice_records()
+    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: ())
+    uncapped = scan_lattice_records()
+    # repr of a float round-trips, so equal reprs mean bitwise-equal max_im_e
+    assert repr(capped) == repr(uncapped)
+    assert sum(r.status == "ok" for r in capped) == 100
+
+
+def fake_setter(calls, count=2):
+    def setter(n):
+        nonlocal count
+        calls.append(n)
+        count, previous = n, count
+        return previous
+    return setter
+
+
+def test_thread_cap_restored_when_arpack_raises(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    calls = []
+    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
+    monkeypatch.setattr(verifier_mod, "eigs", no_convergence)
+    spec = verifier_mod._states_below(build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j),
+                                                        SCAN_GRID), 0.0)
+    assert len(spec.eigenvalues) > 0  # from the dense fallback
+    assert calls == [1, 2]
+
+
+def test_thread_cap_restores_after_the_last_of_overlapping_holders(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
+    first, second = verifier_mod._one_blas_thread(), verifier_mod._one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert calls == [1]
+    second.__exit__(None, None, None)
+    assert calls == [1, 2]
+
+
+def test_verify_never_caps_blas_threads(monkeypatch):
+    def no_cap():
+        raise AssertionError("verify entered the BLAS thread cap")
+
+    monkeypatch.setattr(verifier_mod, "_one_blas_thread", no_cap)
+    for model, grid in [(MorsePT1(16.0, 12.0), Grid(-20.0, 20.0, 201)),
+                        (PoschlTeller(6.0 + 1.0j, 1.0 + 0.2j), Grid(-10.0, 10.0, 201)),
+                        (MORSE, Grid(-3.0, 30.0, 401))]:
+        verify(model, spectrum_records(model, n_max=3, l_max=0), grid)
+
+
+def test_scan_leaves_openblas_thread_count_unchanged():
+    get_threads = scipy_openblas_thread_count()
+    if get_threads is None or not verifier_mod._openblas_setters():
+        pytest.skip("scipy's OpenBLAS with a thread-count setter is not loaded")
+    before = get_threads()
+    with verifier_mod._one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
+    scan_lattice_records()
+    assert get_threads() == before
