@@ -4,7 +4,11 @@ Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
 wells go through the symmetric tridiagonal solver; complex-valued wells are
 promoted to dense storage and solved with the general eigensolver.
 Convergence is certified by comparing spacings h and h/2 and reporting the
-Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only.  The
+Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only, and
+for a complex well it runs LAPACK's Hessenberg QR (`zhseqr`) on H directly
+(`_hessenberg_eigvals`): H is already tridiagonal, so the balancing and the
+Hessenberg reduction that `zgeev` runs first leave it unchanged, and the
+result is bit for bit `zgeev`'s.  The
 reality scan needs only the states below the continuum and solves for those
 alone (`_states_below`), and runs its Arnoldi solve on one BLAS thread
 (`_one_blas_thread`).
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -21,8 +26,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eig, eigh_tridiagonal, eigvals
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg import LinAlgError, eig, eigh_tridiagonal, eigvals
+from scipy.linalg.lapack import zgeev_lwork, zgttrf, zgttrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .errors import PoleOnDomainError, InvalidModelError
@@ -52,6 +57,10 @@ VERIFY_EXTRA_LEVELS = 5
 # two levels whose distance from each other's conjugate is within this share
 # of max(1, |E|) form a conjugate pair whose real parts tie to roundoff
 CONJUGATE_TIE_RTOL = 1e-8
+
+# zgeev scales A first unless ZGEEV_SMLNUM <= max |a_ij| <= 1 / ZGEEV_SMLNUM
+# (LAPACK's sqrt(safmin) / eps, with safmin and eps from dlamch('S') and dlamch('P'))
+ZGEEV_SMLNUM = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,74 @@ class NumericSpectrum:
     richardson_delta: float
 
 
+@functools.lru_cache(maxsize=None)
+def _zhseqr():
+    """LAPACK's zhseqr as a ctypes function, or None where scipy does not export it.
+
+    scipy.linalg.lapack wraps zgeev but not zhseqr, so it is taken from the
+    function capsules of scipy.linalg.cython_lapack.
+    """
+    from scipy.linalg import cython_lapack
+    capsule = getattr(cython_lapack, "__pyx_capi__", {}).get("zhseqr")
+    if capsule is None:
+        return None
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    int_p, ptr = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    # job, compz, n, ilo, ihi, h, ldh, w, z, ldz, work, lwork, info
+    signature = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, int_p,
+                                 ptr, int_p, ptr, ptr, int_p, ptr, int_p, int_p)
+    return signature(get_pointer(capsule, get_name(capsule)))
+
+
+def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
+    """Every eigenvalue of H, bit for bit as `scipy.linalg.eigvals` gives them.
+
+    `eigvals` calls zgeev, which balances H (zgebal), reduces it to
+    Hessenberg form (zgehrd) and runs the QR iteration zhseqr('E', 'N') on
+    rows and columns ilo..ihi.  H is tridiagonal with one nonzero real
+    off-diagonal value, so every row has the same off-diagonal norm as its
+    column: balancing permutes nothing (ilo = 1, ihi = N) and scales by 1,
+    and the reduction finds every Householder tau = 0.  Both steps leave H
+    as it is, and zhseqr is called here on H with the same ilo, ihi and
+    workspace size as zgeev gives it; the workspace sets zhseqr's number of
+    shifts, so its own workspace query would change the roundoff.  Where
+    zgeev would scale H first (max |H| out of range) or could permute it (a
+    zero off-diagonal), where H is not finite (eigvals raises ValueError)
+    and where zhseqr is not exported, eigvals runs.
+    """
+    n = ham.dimension
+    zhseqr = _zhseqr()
+    # NaN fails the range test too, so a non-finite H reaches eigvals' check
+    anrm = np.abs(ham.diagonal).max(initial=abs(ham.off_diagonal))
+    if (zhseqr is None or ham.off_diagonal == 0
+            or not ZGEEV_SMLNUM <= anrm <= 1.0 / ZGEEV_SMLNUM):
+        return eigvals(ham.dense(), overwrite_a=True)
+    lwork = int(zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+    h = ham.dense()  # Fortran-ordered complex N x N, overwritten by zhseqr
+    w = np.empty(n, dtype=complex)
+    work = np.empty(lwork, dtype=complex)
+    z = np.empty(1, dtype=complex)  # not referenced with compz = 'N'
+    info = ctypes.c_int(0)
+
+    def c_int(v):
+        return ctypes.byref(ctypes.c_int(v))
+
+    zhseqr(b"E", b"N", c_int(n), c_int(1), c_int(n), h.ctypes.data, c_int(n),
+           w.ctypes.data, z.ctypes.data, c_int(1), work.ctypes.data, c_int(lwork),
+           ctypes.byref(info))
+    if info.value != 0:
+        raise LinAlgError(f"eig algorithm (zhseqr) did not converge (info = {info.value})")
+    return w
+
+
 def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     """k lowest eigenvalues by (Re, Im) and, with vectors, their eigenvector
-    columns (else None)."""
+    columns (else None).  Without vectors a complex H goes straight to zhseqr
+    (`_hessenberg_eigvals`): zgeev's balancing and Hessenberg reduction leave
+    a tridiagonal H unchanged, so the values are eigvals' bit for bit."""
     k = min(k, ham.dimension)
     if ham.is_real:
         d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
@@ -114,7 +188,7 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
         vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         return vals.astype(complex), vecs.astype(complex)
     if not vectors:
-        vals = eigvals(ham.dense(), overwrite_a=True)
+        vals = _hessenberg_eigvals(ham)
         return vals[np.lexsort((vals.imag, vals.real))[:k]], None
     vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
     order = np.lexsort((vals.imag, vals.real))[:k]

@@ -114,17 +114,27 @@ def test_parse_minimal_config_defaults():
     assert not cfg.grid_given
 
 
-def test_readme_example_config_parses():
+def test_readme_example_config_parses(tmp_path, capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in readme.split("```ini\n")[1:]]
+    assert len(blocks) == 2
+    example, scan_example = blocks
     assert "[grid]                   # optional" in example
     cfg = parse_config(example)
     assert cfg.model == MorseGeneral(25.0, 50.0, 1.0)
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_points) == (-3.0, 30.0, 4000)
     assert (cfg.units.hbar, cfg.units.mass, cfg.units.e_sq) == (1.0, 0.5, 1.0)
     assert (cfg.mode, cfg.n_max, cfg.tol_imag, cfg.workers) == (Mode.PAPER_LITERAL, 8, 1e-6, 1)
-    assert (cfg.scan1.param, cfg.scan1.stop, cfg.scan2.param, cfg.scan2.count) \
-        == ("v0", 10.5, "q", 10)
+    scan_cfg = parse_config(scan_example)
+    assert scan_cfg.model == PoschlTeller(6.0, 1.0)
+    assert (scan_cfg.scan1.param, scan_cfg.scan1.stop, scan_cfg.scan2.param,
+            scan_cfg.scan2.count) == ("v0", 10.5, "q", 10)
+    path = tmp_path / "scan.ini"
+    path.write_text(scan_example, encoding="utf-8")
+    assert main(["scan", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1].startswith("# agreement: 100/100 ")
 
 
 def test_inline_comments_after_headers_and_values():
