@@ -14,39 +14,28 @@ from .errors import (ConfigError, ConvergenceFailureError, DegenerateQuadraticEr
 from .units import DEFAULT_UNITS, UnitSystem
 from .grids import Grid, ScanAxis, symmetric_grid
 from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller,
-                         PoschlTellerPT, PotentialModel, SymmetryClass,
-                         classify_symmetry, ensure_no_pole, eval_potential,
-                         is_structurally_hermitian, lambda_for,
-                         poschl_teller_imag_form, reality_condition)
+                         PoschlTellerPT, PotentialModel, SpectrumFormula, SymmetryClass,
+                         classify_symmetry, energy_morse_complex, energy_morse_general,
+                         energy_morse_shifted, energy_poschl_teller, ensure_no_pole,
+                         eval_potential, poschl_teller_imag_form, reality_condition)
 from .expressions import (DerivativeScale, ExpTerm, RationalPartner, RationalTerm,
                           SuperpotentialExpr, exp_sum, riccati_apply)
 from .hierarchy import (HierarchyLevel, Mode, RiccatiResidualReport,
                         SelfConsistentSolution, hierarchy, partner_potential,
                         riccati_residual, selfconsistent_for_model,
                         solve_selfconsistent_morse, superpotential)
-from .spectra import (EnergyRecord, QuantumNumbers, SpectrumFormula,
-                      WavefunctionSample, energy_record,
-                      energy_morse_complex, energy_morse_general,
-                      energy_morse_shifted, energy_poschl_teller, formula_for,
-                      groundstate_wavefunction, selfconsistent_record,
-                      spectrum_records)
+from .spectra import (EnergyRecord, QuantumNumbers, WavefunctionSample, energy_record,
+                      groundstate_wavefunction, selfconsistent_record, spectrum_records)
 from .config import (RunConfig, default_grid, load_config, parse_config,
                      parse_complex_literal)
 
 __version__ = "0.1.0"
 
-_VERIFIER_NAMES = frozenset({
-    "ComparisonReport", "DiscretizedHamiltonian", "MatchedPair", "NumericSpectrum",
-    "ScanRecord", "Verdict", "bound_states", "build_hamiltonian",
-    "conjugate_pairing_ok", "converged_spectrum", "eigen_spectrum", "reality_scan",
-    "verify",
-})
-
-
+# every name in __all__ that is not bound at import comes from the verifier
 def __getattr__(name):
     if name == "verifier":
         return importlib.import_module(".verifier", __name__)
-    if name in _VERIFIER_NAMES:
+    if name in __all__:
         value = getattr(importlib.import_module(".verifier", __name__), name)
         globals()[name] = value
         return value
@@ -54,7 +43,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _VERIFIER_NAMES)
+    return sorted(set(globals()) | set(__all__))
 
 __all__ = [
     "SusyhierError", "InvalidModelError", "PoleOnDomainError", "ZeroOmegaError",
@@ -63,8 +52,7 @@ __all__ = [
     "UnitSystem", "DEFAULT_UNITS", "Grid", "symmetric_grid",
     "MorseGeneral", "MorseNonPT", "MorsePT1", "MorsePT2", "PoschlTeller",
     "PoschlTellerPT", "PotentialModel", "SymmetryClass", "classify_symmetry",
-    "ensure_no_pole", "eval_potential", "is_structurally_hermitian", "lambda_for",
-    "poschl_teller_imag_form", "reality_condition",
+    "ensure_no_pole", "eval_potential", "poschl_teller_imag_form", "reality_condition",
     "ExpTerm", "RationalTerm", "RationalPartner", "SuperpotentialExpr", "exp_sum",
     "DerivativeScale", "riccati_apply",
     "Mode", "HierarchyLevel", "SelfConsistentSolution", "RiccatiResidualReport",
@@ -73,7 +61,6 @@ __all__ = [
     "SpectrumFormula", "QuantumNumbers", "EnergyRecord", "WavefunctionSample",
     "energy_record", "energy_morse_complex",
     "energy_morse_general", "energy_morse_shifted", "energy_poschl_teller",
-    "formula_for",
     "groundstate_wavefunction", "selfconsistent_record", "spectrum_records",
     "DiscretizedHamiltonian", "NumericSpectrum", "ComparisonReport", "MatchedPair",
     "Verdict", "ScanAxis", "ScanRecord", "bound_states", "build_hamiltonian",

@@ -20,16 +20,14 @@ import sys
 from dataclasses import replace
 from typing import Callable, Optional
 
-from .config import RunConfig, load_config
+from .config import DEFAULT_POINTS, RunConfig, load_config
 from .errors import (ConfigError, ConvergenceFailureError, GridTooCoarseError,
                      InvalidModelError, NotNormalizableError, PoleOnDomainError,
                      SusyhierError, UnsupportedFamilyError, ZeroOmegaError)
 from .hierarchy import Mode
-from .potentials import is_structurally_hermitian
 from .spectra import groundstate_wavefunction, spectrum_records
 
-_MODE_TOKENS = {"paper-literal": Mode.PAPER_LITERAL,
-                "self-consistent": Mode.SELF_CONSISTENT}
+_MODE_TOKENS = {m.value.replace("_", "-"): m for m in Mode}
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -70,7 +68,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
     records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units,
                                self_consistent=(cfg.mode is Mode.SELF_CONSISTENT))
     report = verify(cfg.model, records, cfg.grid, cfg.tol_abs, cfg.units)
-    gating = is_structurally_hermitian(cfg.model)
+    gating = cfg.model.structurally_hermitian()
     lines = [
         "# verify report",
         f"family = {cfg.model.token}",
@@ -127,7 +125,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
                  "is_real == condition_holds")
     warnings = []
     if not cfg.grid_given:
-        warnings.append("warning: scanning on the default 4000-point grid; "
+        warnings.append(f"warning: scanning on the default {DEFAULT_POINTS}-point grid; "
                         "set [grid] n_points for faster sweeps")
     if cfg.workers > 1:
         warnings.append(f"warning: [run] workers = {cfg.workers} is ignored; "
@@ -199,8 +197,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         except BrokenPipeError:  # downstream (e.g. head) closed the pipe
             return EXIT_OK
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     for w in warnings:
         print(w, file=sys.stderr)
     return code

@@ -19,17 +19,13 @@ from .hierarchy import Mode
 from .potentials import FAMILIES, PotentialModel
 from .units import UnitSystem
 
-_RUN_KEYS = {
-    "mode": "str", "l": "int", "l_max": "int", "n_max": "int",
-    "tol_abs": "real", "tol_imag": "real", "workers": "int",
-    "scan1_param": "str", "scan1_component": "str",
-    "scan1_start": "real", "scan1_stop": "real", "scan1_count": "int",
-    "scan2_param": "str", "scan2_component": "str",
-    "scan2_start": "real", "scan2_stop": "real", "scan2_count": "int",
-}
 _SCAN_FIELDS = ("param", "component", "start", "stop", "count")
+_RUN_KEYS = ({"mode", "l", "l_max", "n_max", "tol_abs", "tol_imag", "workers"}
+             | {f"scan{i}_{f}" for i in (1, 2) for f in _SCAN_FIELDS})
 
-_MODES = {"paper_literal": Mode.PAPER_LITERAL, "self_consistent": Mode.SELF_CONSISTENT}
+_MODES = {m.value: m for m in Mode}
+# grid size when the config has no [grid] n_points
+DEFAULT_POINTS = 4000
 
 
 def parse_complex_literal(text: str, where: str = "value") -> complex:
@@ -88,7 +84,7 @@ class RunConfig:
 
 def default_grid(model: PotentialModel) -> Grid:
     """Family-appropriate evaluation window when the config has no [grid]."""
-    return Grid(*model.window, 4000)
+    return Grid(*model.window, DEFAULT_POINTS)
 
 
 def _raw_sections(text: str) -> dict[str, dict[str, str]]:
@@ -189,7 +185,7 @@ def parse_config(text: str) -> RunConfig:
     _check_keys("run", run_items, _RUN_KEYS)
     mode_token = run_items.get("mode", "paper_literal").replace("-", "_")
     if mode_token not in _MODES:
-        raise ConfigError(f"[run]: mode must be paper_literal or self_consistent, "
+        raise ConfigError(f"[run]: mode must be {' or '.join(_MODES)}, "
                           f"got {run_items.get('mode')!r}")
 
     def run_int(key, default):
@@ -229,6 +225,6 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)

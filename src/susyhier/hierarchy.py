@@ -17,11 +17,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateQuadraticError, InvalidModelError, UnsupportedFamilyError
+from .errors import DegenerateQuadraticError, InvalidModelError
 from .expressions import (DerivativeScale, RationalPartner, SuperpotentialExpr, exp_sum,
                           scale_value)
 from .grids import Grid
-from .potentials import MORSE_FAMILIES, PotentialModel, morse_exponential_coefficients
+from .potentials import PotentialModel
 from .units import UnitSystem, DEFAULT_UNITS
 
 
@@ -104,7 +104,8 @@ def solve_selfconsistent_morse(c2: complex, c1: complex,
 
 
 def selfconsistent_for_model(model: PotentialModel) -> SelfConsistentSolution:
-    c2, c1, rate = morse_exponential_coefficients(model)
+    """The matched solution; UnsupportedFamilyError unless the well is two-term exponential."""
+    c2, c1, rate = model.exponential_coefficients()
     return solve_selfconsistent_morse(c2, c1, rate)
 
 
@@ -165,9 +166,6 @@ def hierarchy(model: PotentialModel, l_max: int, mode: Mode = Mode.SELF_CONSISTE
     if l_max < 0:
         raise InvalidModelError("l_max must be nonnegative")
     if mode is Mode.SELF_CONSISTENT:
-        if not isinstance(model, MORSE_FAMILIES):
-            raise UnsupportedFamilyError(
-                "self-consistent matching needs a two-term exponential well")
         sol = selfconsistent_for_model(model)
         return [HierarchyLevel(l, sol.partner_level(l), sol.e0_level(l))
                 for l in range(l_max + 1)]

@@ -9,7 +9,7 @@ of the instance, not the family.
 Each family is one frozen class that holds every fact about it: config
 token, parameter kinds (the field annotations; a field with a default is
 optional), default window, formulas, admissibility, pole check and ground
-state.  The module-level functions are entry points onto its methods.
+state.  Callers ask the instance for those facts through its methods.
 """
 from __future__ import annotations
 
@@ -93,10 +93,12 @@ class _Family:
             object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
 
     def lam(self, units: UnitSystem) -> complex:
+        """Superpotential strength lam of the family's literal exponential ansatz."""
         raise UnsupportedFamilyError(
             f"no superpotential strength defined for {type(self).__name__}")
 
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
+        """(c2, c1, r) of V = c2 e^{-2 r x} + c1 e^{-r x}; r is complex for complexified rates."""
         raise UnsupportedFamilyError(f"{type(self).__name__} is not a two-term exponential well")
 
     def check_pole(self, x_min: float, x_max: float) -> None:
@@ -410,8 +412,6 @@ class PoschlTellerPT(_Rational):
 
 PotentialModel = Union[MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller, PoschlTellerPT]
 
-MORSE_FAMILIES = (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2)
-
 # config token -> model class
 FAMILIES = {cls.token: cls for cls in get_args(PotentialModel)}
 
@@ -540,11 +540,6 @@ def classify_symmetry(model: PotentialModel, grid: Grid, tol: float = 1e-10) -> 
     return SymmetryClass.NON_PT_NON_HERMITIAN
 
 
-def is_structurally_hermitian(model: PotentialModel) -> bool:
-    """True when the instance is real-valued for every real x, by inspection."""
-    return model.structurally_hermitian()
-
-
 def reality_condition(v0: complex, q: complex) -> bool:
     """Parameter test for real spectra of the rational well: Im(V0) Re(q) == Re(V0) Im(q)."""
     v0 = _finite_complex(v0, "v0")
@@ -594,12 +589,6 @@ class DerivedParams:
     p: Optional[complex] = None
 
 
-def lambda_for(model: PotentialModel, units: UnitSystem = DEFAULT_UNITS) -> complex:
-    """Superpotential strength of the exponential families: lam^2 = 2 m V1 /
-    (alpha^2 hbar^2) with the family's own leading coefficient and rate."""
-    return model.lam(units)
-
-
 def chain_from_abc(a: float, b: float, c: float) -> DerivedParams:
     """Populate the derived chain from the (a, b, c) parametrization.
 
@@ -634,14 +623,6 @@ def morse_nonpt_from_abc(a: float, b: float, c: float,
     if abs(d.imag) > 1e-12 * max(1.0, abs(d)) or abs(p.imag) > 1e-12 * max(1.0, abs(p)):
         raise InvalidModelError("chain produces complex (d, p); the compact form needs a = 0")
     model = MorseNonPT(d=d.real, p=p.real)
-    lam = cmath.sqrt(2.0 * units.mass * d.real) / units.hbar
-    return model, DerivedParams(lam=lam, omega=chain.omega, k_odd=chain.k_odd,
+    return model, DerivedParams(lam=model.lam(units), omega=chain.omega, k_odd=chain.k_odd,
                                 g=chain.g, t=chain.t, d=chain.d, p=chain.p)
 
-
-def morse_exponential_coefficients(model: PotentialModel) -> tuple[complex, complex, complex]:
-    """Write a Morse-family potential as c2 e^{-2 a x} + c1 e^{-a x}; returns (c2, c1, a).
-
-    The rate `a` is complex for the complexified families.
-    """
-    return model.exponential_coefficients()

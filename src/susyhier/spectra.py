@@ -14,10 +14,7 @@ import numpy as np
 from .errors import InvalidModelError, NotNormalizableError
 from .grids import Grid
 from .hierarchy import selfconsistent_for_model
-# the closed forms live with the model classes and are re-exported here
-from .potentials import (PotentialModel, SpectrumFormula, energy_morse_complex,
-                         energy_morse_general, energy_morse_shifted, energy_poschl_teller,
-                         ensure_no_pole, is_structurally_hermitian)
+from .potentials import PotentialModel, SpectrumFormula, ensure_no_pole
 from .units import UnitSystem, DEFAULT_UNITS
 
 
@@ -42,10 +39,6 @@ class EnergyRecord:
 # ---------------------------------------------------------------------------
 # record builders
 # ---------------------------------------------------------------------------
-
-def formula_for(model: PotentialModel) -> SpectrumFormula:
-    return model.formula
-
 
 def energy_record(model: PotentialModel, n: int, l: int,
                   units: UnitSystem = DEFAULT_UNITS) -> EnergyRecord:
@@ -100,7 +93,7 @@ def groundstate_wavefunction(model: PotentialModel, l: int, grid: Grid,
     x = grid.points()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         values = np.asarray(model.groundstate(l, x, units), dtype=complex)
-    if not is_structurally_hermitian(model):
+    if not model.structurally_hermitian():
         return WavefunctionSample(grid, values, 1.0, QuantumNumbers(0, l), False)
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         raise NotNormalizableError("samples overflow on this grid; shrink the domain")

@@ -231,6 +231,23 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    p = tmp_path / "latin1.ini"
+    p.write_bytes(b"[model]\nfamily = morse_general\nv1 = 25\nv2 = 50 # \xff\n")
+    assert main(["spectrum", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config")
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n")
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write")
+    assert captured.out == ""
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n"
                               "coupling = 3\n")

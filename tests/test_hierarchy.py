@@ -14,6 +14,7 @@ from susyhier import (
     MorsePT1,
     MorsePT2,
     PoschlTeller,
+    PoschlTellerPT,
     UnitSystem,
     UnsupportedFamilyError,
     hierarchy,
@@ -254,8 +255,9 @@ def test_hierarchy_rational_family():
     levels = hierarchy(PoschlTeller(6.0, 1.0, 1.0), 1, mode=Mode.PAPER_LITERAL, units=units)
     assert isinstance(levels[0].partner, RationalPartner)
     assert levels[0].e0 == pytest.approx(-0.125)
-    with pytest.raises(UnsupportedFamilyError):
-        hierarchy(PoschlTeller(6.0, 1.0, 1.0), 1, mode=Mode.SELF_CONSISTENT)
+    for model in (PoschlTeller(6.0, 1.0, 1.0), PoschlTellerPT(4.0, 0.5, 1.0)):
+        with pytest.raises(UnsupportedFamilyError, match="not a two-term exponential well"):
+            hierarchy(model, 1, mode=Mode.SELF_CONSISTENT)
 
 
 def test_hierarchy_validation():

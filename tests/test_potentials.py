@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from susyhier import (
+    DEFAULT_UNITS,
     InvalidModelError,
     MorseGeneral,
     MorseNonPT,
@@ -19,15 +20,12 @@ from susyhier import (
     classify_symmetry,
     ensure_no_pole,
     eval_potential,
-    is_structurally_hermitian,
-    lambda_for,
     poschl_teller_imag_form,
     reality_condition,
     symmetric_grid,
 )
 from susyhier.potentials import (
     chain_from_abc,
-    morse_exponential_coefficients,
     morse_nonpt_from_abc,
     pt_reflect,
 )
@@ -213,15 +211,15 @@ def test_pt_reflect_of_non_pt_instance():
     assert pt_reflect(m, 0.0) != pytest.approx(eval_potential(m, 0.0))
 
 
-def test_is_structurally_hermitian():
-    assert is_structurally_hermitian(MorseGeneral(25.0, 50.0, 1.0))
-    assert is_structurally_hermitian(PoschlTeller(6.0, 1.0, 1.0))
-    assert not is_structurally_hermitian(MorseGeneral(25.0 + 1.0j, 50.0, 1.0))
-    assert not is_structurally_hermitian(PoschlTeller(6.0j, 1.0j, 1.0))
-    assert not is_structurally_hermitian(MorseNonPT(9.0, 2.0))
-    assert not is_structurally_hermitian(MorsePT1(16.0, 12.0))
-    assert not is_structurally_hermitian(MorsePT2(2.0, 3.0, 1.0))
-    assert not is_structurally_hermitian(PoschlTellerPT(4.0, 0.5, 1.0))
+def test_structurally_hermitian():
+    assert MorseGeneral(25.0, 50.0, 1.0).structurally_hermitian()
+    assert PoschlTeller(6.0, 1.0, 1.0).structurally_hermitian()
+    assert not MorseGeneral(25.0 + 1.0j, 50.0, 1.0).structurally_hermitian()
+    assert not PoschlTeller(6.0j, 1.0j, 1.0).structurally_hermitian()
+    assert not MorseNonPT(9.0, 2.0).structurally_hermitian()
+    assert not MorsePT1(16.0, 12.0).structurally_hermitian()
+    assert not MorsePT2(2.0, 3.0, 1.0).structurally_hermitian()
+    assert not PoschlTellerPT(4.0, 0.5, 1.0).structurally_hermitian()
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +252,22 @@ def test_imag_form_matches_direct_evaluation():
 # derived parameters
 # ---------------------------------------------------------------------------
 
-def test_lambda_for_values():
-    assert lambda_for(MorseGeneral(25.0, 50.0, 1.0)) == pytest.approx(5.0)
+def test_lam_values():
+    assert MorseGeneral(25.0, 50.0, 1.0).lam(DEFAULT_UNITS) == pytest.approx(5.0)
     # rate rescaling: lam^2 = 2m v1 / (alpha hbar)^2
-    assert lambda_for(MorseGeneral(25.0, 50.0, 2.0)) == pytest.approx(2.5)
-    assert lambda_for(MorseNonPT(9.0, 2.0)) == pytest.approx(3.0)
-    assert lambda_for(MorsePT1(16.0, 12.0)) == pytest.approx(4.0)
+    assert MorseGeneral(25.0, 50.0, 2.0).lam(DEFAULT_UNITS) == pytest.approx(2.5)
+    assert MorseNonPT(9.0, 2.0).lam(DEFAULT_UNITS) == pytest.approx(3.0)
+    assert MorsePT1(16.0, 12.0).lam(DEFAULT_UNITS) == pytest.approx(4.0)
     # mass enters through 2m/hbar^2
-    assert lambda_for(MorseGeneral(25.0, 50.0, 1.0), UnitSystem(1.0, 1.0, 1.0)) \
+    assert MorseGeneral(25.0, 50.0, 1.0).lam(UnitSystem(1.0, 1.0, 1.0)) \
         == pytest.approx(math.sqrt(50.0))
 
 
-def test_lambda_for_unsupported_families():
+def test_lam_unsupported_families():
     with pytest.raises(UnsupportedFamilyError):
-        lambda_for(MorsePT2(2.0, 3.0, 1.0))
+        MorsePT2(2.0, 3.0, 1.0).lam(DEFAULT_UNITS)
     with pytest.raises(UnsupportedFamilyError):
-        lambda_for(PoschlTeller(6.0, 1.0, 1.0))
+        PoschlTeller(6.0, 1.0, 1.0).lam(DEFAULT_UNITS)
 
 
 def test_chain_from_abc_identities():
@@ -303,11 +301,11 @@ def test_morse_nonpt_from_abc():
         morse_nonpt_from_abc(1.0, 3.0, 2.5)  # complex chain, no compact form
 
 
-def test_morse_exponential_coefficients():
-    assert morse_exponential_coefficients(MorseGeneral(25.0, 50.0, 2.0)) \
+def test_exponential_coefficients():
+    assert MorseGeneral(25.0, 50.0, 2.0).exponential_coefficients() \
         == (25.0 + 0j, -50.0 + 0j, 2.0 + 0j)
-    assert morse_exponential_coefficients(MorseNonPT(9.0, 2.0)) == (-9.0 + 0j, -18.0j, 1.0 + 0j)
-    assert morse_exponential_coefficients(MorsePT1(16.0, 12.0)) == (16.0 + 0j, -12.0 + 0j, 1.0j)
-    assert morse_exponential_coefficients(MorsePT2(2.0, 3.0, 1.0)) == (-4.0 + 0j, -3.0 + 0j, 1.0j)
+    assert MorseNonPT(9.0, 2.0).exponential_coefficients() == (-9.0 + 0j, -18.0j, 1.0 + 0j)
+    assert MorsePT1(16.0, 12.0).exponential_coefficients() == (16.0 + 0j, -12.0 + 0j, 1.0j)
+    assert MorsePT2(2.0, 3.0, 1.0).exponential_coefficients() == (-4.0 + 0j, -3.0 + 0j, 1.0j)
     with pytest.raises(UnsupportedFamilyError):
-        morse_exponential_coefficients(PoschlTeller(6.0, 1.0, 1.0))
+        PoschlTeller(6.0, 1.0, 1.0).exponential_coefficients()

@@ -26,7 +26,6 @@ from susyhier import (
     energy_morse_shifted,
     energy_poschl_teller,
     energy_record,
-    formula_for,
     groundstate_wavefunction,
     selfconsistent_record,
     spectrum_records,
@@ -130,13 +129,13 @@ def test_admissible_hermitian_ladder_is_increasing_and_negative():
 # records
 # ---------------------------------------------------------------------------
 
-def test_formula_for_mapping():
-    assert formula_for(MorseGeneral(1.0, 1.0)) is SpectrumFormula.MORSE_GENERAL
-    assert formula_for(MorseNonPT(9.0, 2.0)) is SpectrumFormula.MORSE_COMPLEX
-    assert formula_for(MorsePT1(16.0, 12.0)) is SpectrumFormula.MORSE_COMPLEX
-    assert formula_for(MorsePT2(2.0, 3.0)) is SpectrumFormula.MORSE_SHIFTED
-    assert formula_for(PoschlTeller(6.0, 1.0)) is SpectrumFormula.POSCHL_TELLER
-    assert formula_for(PoschlTellerPT(4.0, 0.5)) is SpectrumFormula.POSCHL_TELLER
+def test_formula_mapping():
+    assert MorseGeneral(1.0, 1.0).formula is SpectrumFormula.MORSE_GENERAL
+    assert MorseNonPT(9.0, 2.0).formula is SpectrumFormula.MORSE_COMPLEX
+    assert MorsePT1(16.0, 12.0).formula is SpectrumFormula.MORSE_COMPLEX
+    assert MorsePT2(2.0, 3.0).formula is SpectrumFormula.MORSE_SHIFTED
+    assert PoschlTeller(6.0, 1.0).formula is SpectrumFormula.POSCHL_TELLER
+    assert PoschlTellerPT(4.0, 0.5).formula is SpectrumFormula.POSCHL_TELLER
 
 
 def test_energy_record_values():
