@@ -21,11 +21,11 @@ from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTel
 from .expressions import (DerivativeScale, ExpTerm, RationalPartner, RationalTerm,
                           SuperpotentialExpr, exp_sum, riccati_apply)
 from .hierarchy import (HierarchyLevel, Mode, RiccatiResidualReport,
-                        SelfConsistentSolution, hierarchy, partner_potential,
+                        SelfConsistentSolution, hierarchy, ladder, partner_potential,
                         riccati_residual, selfconsistent_for_model,
                         solve_selfconsistent_morse, superpotential)
 from .spectra import (EnergyRecord, QuantumNumbers, WavefunctionSample, energy_record,
-                      groundstate_wavefunction, selfconsistent_record, spectrum_records)
+                      groundstate_wavefunction, spectrum_records)
 from .config import (RunConfig, default_grid, load_config, parse_config,
                      parse_complex_literal)
 
@@ -56,12 +56,12 @@ __all__ = [
     "ExpTerm", "RationalTerm", "RationalPartner", "SuperpotentialExpr", "exp_sum",
     "DerivativeScale", "riccati_apply",
     "Mode", "HierarchyLevel", "SelfConsistentSolution", "RiccatiResidualReport",
-    "hierarchy", "partner_potential", "riccati_residual", "selfconsistent_for_model",
-    "solve_selfconsistent_morse", "superpotential",
+    "hierarchy", "ladder", "partner_potential", "riccati_residual",
+    "selfconsistent_for_model", "solve_selfconsistent_morse", "superpotential",
     "SpectrumFormula", "QuantumNumbers", "EnergyRecord", "WavefunctionSample",
     "energy_record", "energy_morse_complex",
     "energy_morse_general", "energy_morse_shifted", "energy_poschl_teller",
-    "groundstate_wavefunction", "selfconsistent_record", "spectrum_records",
+    "groundstate_wavefunction", "spectrum_records",
     "DiscretizedHamiltonian", "NumericSpectrum", "ComparisonReport", "MatchedPair",
     "Verdict", "ScanAxis", "ScanRecord", "bound_states", "build_hamiltonian",
     "conjugate_pairing_ok", "converged_spectrum", "eigen_spectrum", "reality_scan",

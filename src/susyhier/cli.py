@@ -21,9 +21,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from .config import DEFAULT_POINTS, RunConfig, load_config
-from .errors import (ConfigError, ConvergenceFailureError, GridTooCoarseError,
-                     InvalidModelError, NotNormalizableError, PoleOnDomainError,
-                     SusyhierError, UnsupportedFamilyError, ZeroOmegaError)
+from .errors import ConfigError, SusyhierError
 from .hierarchy import Mode
 from .spectra import groundstate_wavefunction, spectrum_records
 
@@ -47,8 +45,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
-    records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units,
-                               self_consistent=(cfg.mode is Mode.SELF_CONSISTENT))
+    records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units, mode=cfg.mode)
     lines = ["n,l,E_re,E_im,formula,admissible"]
     warnings = []
     if any(r.admissible for r in records):
@@ -65,8 +62,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
     from .verifier import Verdict, verify
-    records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units,
-                               self_consistent=(cfg.mode is Mode.SELF_CONSISTENT))
+    records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units, mode=cfg.mode)
     report = verify(cfg.model, records, cfg.grid, cfg.tol_abs, cfg.units)
     gating = cfg.model.structurally_hermitian()
     lines = [
@@ -181,13 +177,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.mode is not None:
             cfg = replace(cfg, mode=_MODE_TOKENS[args.mode])
         text, warnings, code = _COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidModelError, ZeroOmegaError, PoleOnDomainError,
-            NotNormalizableError, UnsupportedFamilyError, GridTooCoarseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ConvergenceFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     except SusyhierError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,12 +1,16 @@
 """Factorization hierarchy: superpotentials, partner potentials, residuals.
 
-Two modes exist side by side and are never mixed:
+Two modes exist side by side and are never mixed.  Each mode is one ladder
+object, answering `formula`, `level(n, l, units)`, `superpotential(l, units)`
+and `partner(l, units)`; `ladder(model, mode)` is the one place that picks it:
 
-* literal mode reproduces each family's published ansatz and partner exactly
-  as printed, and the residual of the factorization identity is a measured
-  diagnostic (it is genuinely nonzero for some families);
-* self-consistent mode determines the two-term exponential superpotential by
-  coefficient matching, which satisfies the identity by construction.
+* literal mode is the family's model instance itself: its published ansatz
+  and partner exactly as printed, and the residual of the factorization
+  identity is a measured diagnostic (it is genuinely nonzero for some
+  families);
+* self-consistent mode is a `SelfConsistentSolution`, the two-term
+  exponential superpotential determined by coefficient matching, which
+  satisfies the identity by construction.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .errors import DegenerateQuadraticError, InvalidModelError
 from .expressions import (DerivativeScale, RationalPartner, SuperpotentialExpr, exp_sum,
                           scale_value)
 from .grids import Grid
-from .potentials import PotentialModel
+from .potentials import PotentialModel, SpectrumFormula
 from .units import UnitSystem, DEFAULT_UNITS
 
 
@@ -31,20 +35,20 @@ class Mode(Enum):
 
 
 # ---------------------------------------------------------------------------
-# literal ansatz
+# one depth of a ladder
 # ---------------------------------------------------------------------------
 
-def superpotential(model: PotentialModel, l: int, units: UnitSystem = DEFAULT_UNITS
+def superpotential(model: Ladder, l: int, units: UnitSystem = DEFAULT_UNITS
                    ) -> SuperpotentialExpr:
-    """The published ansatz W for hierarchy depth l."""
+    """The superpotential W of a ladder (a model: its published ansatz) at depth l."""
     if l < 0:
         raise InvalidModelError("l must be nonnegative")
     return model.superpotential(l, units)
 
 
-def partner_potential(model: PotentialModel, l: int, units: UnitSystem = DEFAULT_UNITS
+def partner_potential(model: Ladder, l: int, units: UnitSystem = DEFAULT_UNITS
                       ) -> Union[SuperpotentialExpr, RationalPartner]:
-    """The published partner potential at hierarchy depth l, taken verbatim."""
+    """The partner potential of a ladder (a model: as published, verbatim) at depth l."""
     if l < 0:
         raise InvalidModelError("l must be nonnegative")
     return model.partner(l, units)
@@ -56,28 +60,31 @@ def partner_potential(model: PotentialModel, l: int, units: UnitSystem = DEFAULT
 
 @dataclass(frozen=True)
 class SelfConsistentSolution:
-    """Superpotential -b e^{-r x} + a matched to c2 e^{-2 r x} + c1 e^{-r x}."""
+    """Superpotential -b e^{-r x} + a matched to c2 e^{-2 r x} + c1 e^{-r x}.
+
+    It answers like a family class.  `units` is accepted and unused: the
+    matching takes hbar^2 / 2m = 1.
+    """
 
     b: complex
     a: complex
     rate: complex
 
-    @property
-    def e0(self) -> complex:
-        return -self.a * self.a
+    formula = SpectrumFormula.SELF_CONSISTENT
 
     def a_level(self, l: int) -> complex:
         """Level shift a_l = a - l * rate."""
         return self.a - l * self.rate
 
-    def e0_level(self, l: int) -> complex:
-        a_l = self.a_level(l)
-        return -a_l * a_l
+    def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
+        """E = -(a - (n + l) rate)^2, a bound state while its shift keeps Re > 0."""
+        a = self.a_level(n + l)
+        return -a * a, a.real > 0.0
 
-    def superpotential_level(self, l: int) -> SuperpotentialExpr:
+    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         return exp_sum(self.rate, (-self.b, 1), (self.a_level(l), 0))
 
-    def partner_level(self, l: int) -> SuperpotentialExpr:
+    def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         """W_l^2 - W_l' + E0_l expanded in closed form (constants cancel)."""
         a_l = self.a_level(l)
         return exp_sum(self.rate,
@@ -109,6 +116,14 @@ def selfconsistent_for_model(model: PotentialModel) -> SelfConsistentSolution:
     return solve_selfconsistent_morse(c2, c1, rate)
 
 
+Ladder = Union[PotentialModel, SelfConsistentSolution]
+
+
+def ladder(model: PotentialModel, mode: Mode) -> Ladder:
+    """The object whose levels, superpotentials and partners make up the mode's hierarchy."""
+    return selfconsistent_for_model(model) if mode is Mode.SELF_CONSISTENT else model
+
+
 # ---------------------------------------------------------------------------
 # residual diagnostic and hierarchy assembly
 # ---------------------------------------------------------------------------
@@ -132,17 +147,11 @@ def riccati_residual(model: PotentialModel, l: int, grid: Grid,
 
     e0 defaults to the mode's own ground energy at depth l.
     """
-    if mode is Mode.SELF_CONSISTENT:
-        sol = selfconsistent_for_model(model)
-        w = sol.superpotential_level(l)
-        v = sol.partner_level(l)
-        if e0 is None:
-            e0 = sol.e0_level(l)
-    else:
-        w = superpotential(model, l, units)
-        v = partner_potential(model, l, units)
-        if e0 is None:
-            e0 = complex(model.level(0, l, units)[0])
+    lad = ladder(model, mode)
+    w = superpotential(lad, l, units)
+    v = partner_potential(lad, l, units)
+    if e0 is None:
+        e0 = complex(lad.level(0, l, units)[0])
     s = scale_value(scale, w.rate)
     x = grid.points()
     wx = w.evaluate(x)
@@ -165,10 +174,7 @@ def hierarchy(model: PotentialModel, l_max: int, mode: Mode = Mode.SELF_CONSISTE
     """Partner potentials and ground energies for l = 0..l_max, in order."""
     if l_max < 0:
         raise InvalidModelError("l_max must be nonnegative")
-    if mode is Mode.SELF_CONSISTENT:
-        sol = selfconsistent_for_model(model)
-        return [HierarchyLevel(l, sol.partner_level(l), sol.e0_level(l))
-                for l in range(l_max + 1)]
-    return [HierarchyLevel(l, partner_potential(model, l, units),
-                           complex(model.level(0, l, units)[0]))
+    lad = ladder(model, mode)
+    return [HierarchyLevel(l, partner_potential(lad, l, units),
+                           complex(lad.level(0, l, units)[0]))
             for l in range(l_max + 1)]

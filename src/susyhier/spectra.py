@@ -1,7 +1,8 @@
 """Closed-form energy records and ground-state wavefunctions.
 
-Each family's model class carries its one closed-form level formula; levels
-are indexed by the oscillator number n and the hierarchy depth l.
+Each family's model class carries its one closed-form level formula, and the
+self-consistent solution answers the same `level`; levels are indexed by the
+oscillator number n and the hierarchy depth l.
 Admissibility marks which (n, l) pairs correspond to genuine bound states.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidModelError, NotNormalizableError
 from .grids import Grid
-from .hierarchy import selfconsistent_for_model
+from .hierarchy import Ladder, Mode, ladder
 from .potentials import PotentialModel, SpectrumFormula, ensure_no_pole
 from .units import UnitSystem, DEFAULT_UNITS
 
@@ -40,29 +41,19 @@ class EnergyRecord:
 # record builders
 # ---------------------------------------------------------------------------
 
-def energy_record(model: PotentialModel, n: int, l: int,
+def energy_record(model: Ladder, n: int, l: int,
                   units: UnitSystem = DEFAULT_UNITS) -> EnergyRecord:
-    """Closed-form level of the family's published formula, with admissibility flag."""
+    """Closed-form level of the ladder's formula, with admissibility flag."""
     e, ok = model.level(n, l, units)
     return EnergyRecord(QuantumNumbers(n, l), complex(e), model.formula, ok)
 
 
-def selfconsistent_record(a0: complex, rate: complex, n: int, l: int) -> EnergyRecord:
-    """Level of the coefficient-matched ladder: E = -(a0 - (n + l) rate)^2."""
-    a = a0 - (n + l) * rate
-    return EnergyRecord(QuantumNumbers(n, l), -a * a, SpectrumFormula.SELF_CONSISTENT,
-                        a.real > 0.0)
-
-
 def spectrum_records(model: PotentialModel, n_max: int, l_max: int,
                      units: UnitSystem = DEFAULT_UNITS,
-                     self_consistent: bool = False) -> list[EnergyRecord]:
-    """Records for l = 0..l_max, n = 0..n_max, ordered by (l, n)."""
-    if self_consistent:
-        sol = selfconsistent_for_model(model)
-        return [selfconsistent_record(sol.a, sol.rate, n, l)
-                for l in range(l_max + 1) for n in range(n_max + 1)]
-    return [energy_record(model, n, l, units)
+                     mode: Mode = Mode.PAPER_LITERAL) -> list[EnergyRecord]:
+    """Records of the mode's ladder for l = 0..l_max, n = 0..n_max, ordered by (l, n)."""
+    lad = ladder(model, mode)
+    return [energy_record(lad, n, l, units)
             for l in range(l_max + 1) for n in range(n_max + 1)]
 
 

@@ -87,7 +87,7 @@ def test_criterion_03_literal_residual_regression():
 def test_criterion_04_fd_oracle_agreement():
     """Certified finite differences reproduce all five analytic levels to 1e-3."""
     model = MorseGeneral(25.0, 50.0, 1.0)
-    records = spectrum_records(model, 4, 0, self_consistent=True)
+    records = spectrum_records(model, 4, 0, mode=Mode.SELF_CONSISTENT)
     report = verify(model, records, Grid(-3.0, 30.0, 4000))
     assert report.converged
     assert report.verdict is Verdict.MATCH

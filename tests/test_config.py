@@ -114,6 +114,19 @@ def test_parse_minimal_config_defaults():
     assert not cfg.grid_given
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("Verdict.MATCH True ")
+    assert float(lines[0].split()[2]) < 1e-3
+    assert lines[1] == "1004.2768461593814 -3.0"
+    assert lines[2] == "SpectrumFormula.SELF_CONSISTENT ((-12.25-0j), True)"
+
+
 def test_readme_example_config_parses(tmp_path, capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = [b.split("```", 1)[0] for b in readme.split("```ini\n")[1:]]

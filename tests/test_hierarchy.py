@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from susyhier import (
+    DEFAULT_UNITS,
     DegenerateQuadraticError,
     DerivativeScale,
     Grid,
@@ -18,6 +19,7 @@ from susyhier import (
     UnitSystem,
     UnsupportedFamilyError,
     hierarchy,
+    ladder,
     partner_potential,
     riccati_residual,
     selfconsistent_for_model,
@@ -38,10 +40,10 @@ def test_solve_selfconsistent_canonical_well():
     sol = solve_selfconsistent_morse(25.0, -50.0, 1.0)
     assert sol.b == pytest.approx(5.0)
     assert sol.a == pytest.approx(4.5)
-    assert sol.e0 == pytest.approx(-20.25)
+    assert sol.level(0, 0, DEFAULT_UNITS)[0] == pytest.approx(-20.25)
     for l in range(4):
         assert sol.a_level(l) == pytest.approx(4.5 - l)
-        assert sol.e0_level(l) == pytest.approx(-((4.5 - l) ** 2))
+        assert sol.level(0, l, DEFAULT_UNITS)[0] == pytest.approx(-((4.5 - l) ** 2))
 
 
 def test_solve_selfconsistent_errors():
@@ -65,16 +67,17 @@ def test_solve_selfconsistent_roundtrip():
         assert abs(sol.b - b) <= 1e-12 * (1.0 + abs(b))
         assert abs(sol.a - a) <= 1e-12 * (1.0 + abs(a))
         # the matched W satisfies W^2 - W' = V - E0 pointwise
-        w = sol.superpotential_level(0)
+        w = sol.superpotential(0, DEFAULT_UNITS)
         lhs = w.evaluate(x0) ** 2 - w.derivative(x0)
         v = c2 * np.exp(-2 * rate * x0) + c1 * np.exp(-rate * x0)
-        assert abs(lhs - (v - sol.e0)) <= 1e-10 * (1.0 + abs(v))
+        e0 = sol.level(0, 0, DEFAULT_UNITS)[0]
+        assert abs(lhs - (v - e0)) <= 1e-10 * (1.0 + abs(v))
 
 
 def test_partner_level_coefficients():
     sol = solve_selfconsistent_morse(25.0, -50.0, 1.0)
     for l in (0, 2):
-        p = sol.partner_level(l)
+        p = sol.partner(l, DEFAULT_UNITS)
         assert p.coefficient(2) == pytest.approx(25.0)
         assert p.coefficient(1) == pytest.approx(-5.0 * (2.0 * (4.5 - l) + 1.0))
         assert p.constant == 0.0
@@ -87,6 +90,14 @@ def test_selfconsistent_for_model_matches_direct_solve():
     # c2 = -9, c1 = -18i: b = 3i, a = -(-18i)/(6i) - 1/2 = 2.5
     assert sol.b == pytest.approx(3.0j)
     assert sol.a == pytest.approx(2.5)
+
+
+def test_ladder_picks_the_mode():
+    model = MorseGeneral(25.0, 50.0, 1.0)
+    assert ladder(model, Mode.PAPER_LITERAL) is model
+    assert ladder(model, Mode.SELF_CONSISTENT) == selfconsistent_for_model(model)
+    with pytest.raises(UnsupportedFamilyError):
+        ladder(PoschlTeller(6.0, 1.0, 1.0), Mode.SELF_CONSISTENT)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,12 @@ def test_literal_residual_vanishes_when_coefficients_coincide():
                            mode=Mode.PAPER_LITERAL, scale=DerivativeScale.UNIT)
     # exact cancellation up to roundoff on ~1e6-sized terms at the left edge
     assert rep.max_abs_residual < 1e-8
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_riccati_residual_rejects_negative_depth(mode):
+    with pytest.raises(InvalidModelError, match="l must be nonnegative"):
+        riccati_residual(MorseGeneral(25.0, 50.0), -1, GRID, mode=mode)
 
 
 def test_riccati_residual_e0_override():

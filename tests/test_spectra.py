@@ -9,6 +9,7 @@ from susyhier import (
     EnergyRecord,
     Grid,
     InvalidModelError,
+    Mode,
     MorseGeneral,
     MorseNonPT,
     MorsePT1,
@@ -18,6 +19,7 @@ from susyhier import (
     PoschlTeller,
     PoschlTellerPT,
     QuantumNumbers,
+    SelfConsistentSolution,
     SpectrumFormula,
     UnitSystem,
     ZeroOmegaError,
@@ -27,11 +29,11 @@ from susyhier import (
     energy_poschl_teller,
     energy_record,
     groundstate_wavefunction,
-    selfconsistent_record,
     spectrum_records,
 )
 
 ATOMIC = UnitSystem(1.0, 1.0, 1.0)  # beta = 1
+MATCHED = SelfConsistentSolution(b=5.0, a=4.5, rate=1.0)  # matched to MorseGeneral(25, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +114,8 @@ def test_rational_well_monotone_prefix_rule():
 
 
 def test_selfconsistent_admissibility():
-    assert selfconsistent_record(4.5, 1.0, 4, 0).admissible
-    assert not selfconsistent_record(4.5, 1.0, 5, 0).admissible
+    assert energy_record(MATCHED, 4, 0).admissible
+    assert not energy_record(MATCHED, 5, 0).admissible
 
 
 def test_admissible_hermitian_ladder_is_increasing_and_negative():
@@ -163,7 +165,7 @@ def test_spectrum_records_ordering():
 
 
 def test_spectrum_records_selfconsistent():
-    recs = spectrum_records(MorseGeneral(25.0, 50.0, 1.0), 2, 1, self_consistent=True)
+    recs = spectrum_records(MorseGeneral(25.0, 50.0, 1.0), 2, 1, mode=Mode.SELF_CONSISTENT)
     assert all(r.formula is SpectrumFormula.SELF_CONSISTENT for r in recs)
     assert recs[0].energy == pytest.approx(-20.25)
     by_nl = {(r.nq.n, r.nq.l): r.energy for r in recs}
@@ -172,10 +174,10 @@ def test_spectrum_records_selfconsistent():
 
 
 def test_selfconsistent_record_direct():
-    r = selfconsistent_record(4.5, 1.0, 3, 1)
+    r = energy_record(MATCHED, 3, 1)
     assert r.energy == pytest.approx(-0.25)
     assert r.admissible
-    assert not selfconsistent_record(4.5, 1.0, 5, 0).admissible
+    assert not energy_record(MATCHED, 5, 0).admissible
 
 
 def test_shifted_family_degenerate_records():

@@ -10,6 +10,7 @@ from susyhier import (
     EnergyRecord,
     Grid,
     InvalidModelError,
+    Mode,
     MorseGeneral,
     MorsePT1,
     MorsePT2,
@@ -166,7 +167,7 @@ def test_conjugate_pairing():
 # ---------------------------------------------------------------------------
 
 def test_verify_match():
-    records = spectrum_records(MORSE, 4, 0, self_consistent=True)
+    records = spectrum_records(MORSE, 4, 0, mode=Mode.SELF_CONSISTENT)
     report = verify(MORSE, records, MORSE_GRID)
     assert report.verdict is Verdict.MATCH
     assert report.converged
@@ -182,7 +183,7 @@ def test_verify_match():
 
 
 def test_verify_is_order_independent():
-    records = spectrum_records(MORSE, 4, 0, self_consistent=True)
+    records = spectrum_records(MORSE, 4, 0, mode=Mode.SELF_CONSISTENT)
     base = verify(MORSE, records, MORSE_GRID)
     rng = np.random.default_rng(3)
     shuffled = list(records)
@@ -202,7 +203,7 @@ def test_verify_mismatch_for_wrong_levels():
 
 
 def test_verify_partial_match():
-    good = spectrum_records(MORSE, 2, 0, self_consistent=True)
+    good = spectrum_records(MORSE, 2, 0, mode=Mode.SELF_CONSISTENT)
     bogus = [EnergyRecord(QuantumNumbers(3 + i, 0), complex(-100.0 * (i + 1)),
                           SpectrumFormula.SELF_CONSISTENT, True) for i in range(2)]
     report = verify(MORSE, good + bogus, MORSE_GRID)
