@@ -1,9 +1,9 @@
 """Closed-form spectra for exponential and rational wells via superpotential
 hierarchies, plus a finite-difference verifier and a small CLI.
 
-The finite-difference verifier needs scipy, whose import costs more than a
-closed-form job; its names load on first use (PEP 562), so `import susyhier`
-and the closed-form commands never import it.
+The finite-difference verifier loads on first use (PEP 562), so `import
+susyhier` and the closed-form commands never import it; it imports scipy
+only to solve a complex-valued well, so real wells run without scipy.
 """
 import importlib
 

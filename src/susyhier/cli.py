@@ -9,8 +9,8 @@ non-convergence, 3 verification mismatch (Hermitian families only).
 All data rows are serialized with shortest round-trip decimals so repeated
 runs on the same config are byte-identical; warnings go to stderr.
 
-`verify` and `scan` import the finite-difference verifier (and with it scipy)
-when they run, so the closed-form commands start without it.
+`verify` and `scan` import the finite-difference verifier when they run, so
+the closed-form commands start without it; only complex-valued wells import scipy.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             sys.stdout.write(text)
         except BrokenPipeError:  # downstream (e.g. head) closed the pipe
-            return EXIT_OK
+            return code
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,8 +1,9 @@
 """Finite-difference cross-check of the closed-form spectra.
 
 Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
-wells go through the symmetric tridiagonal solver; complex-valued wells are
-promoted to dense storage and solved with the general eigensolver.
+wells go through LAPACK's tridiagonal bisection in the OpenBLAS that numpy
+has loaded (`_eigh_tridiagonal`), so they never import scipy; complex-valued
+wells import it to be solved with the general eigensolver.
 Convergence is certified by comparing spacings h and h/2 and reporting the
 Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only, and
 for a complex well it runs LAPACK's Hessenberg QR (`zhseqr`) on H directly
@@ -20,15 +21,13 @@ import functools
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, eig, eigh_tridiagonal, eigvals
-from scipy.linalg.lapack import zgeev_lwork, zgttrf, zgttrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+from numpy.linalg import LinAlgError
 
 from .errors import PoleOnDomainError, InvalidModelError
 from .grids import Grid, ScanAxis
@@ -110,6 +109,10 @@ class NumericSpectrum:
     richardson_delta: float
 
 
+def _ref(value, kind=ctypes.c_int):
+    return ctypes.byref(kind(value))
+
+
 @functools.lru_cache(maxsize=None)
 def _zhseqr():
     """LAPACK's zhseqr as a ctypes function, or None where scipy does not export it.
@@ -148,6 +151,8 @@ def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
     zero off-diagonal), where H is not finite (eigvals raises ValueError)
     and where zhseqr is not exported, eigvals runs.
     """
+    from scipy.linalg import eigvals
+    from scipy.linalg.lapack import zgeev_lwork
     n = ham.dimension
     zhseqr = _zhseqr()
     # NaN fails the range test too, so a non-finite H reaches eigvals' check
@@ -161,12 +166,8 @@ def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
     work = np.empty(lwork, dtype=complex)
     z = np.empty(1, dtype=complex)  # not referenced with compz = 'N'
     info = ctypes.c_int(0)
-
-    def c_int(v):
-        return ctypes.byref(ctypes.c_int(v))
-
-    zhseqr(b"E", b"N", c_int(n), c_int(1), c_int(n), h.ctypes.data, c_int(n),
-           w.ctypes.data, z.ctypes.data, c_int(1), work.ctypes.data, c_int(lwork),
+    zhseqr(b"E", b"N", _ref(n), _ref(1), _ref(n), h.ctypes.data, _ref(n),
+           w.ctypes.data, z.ctypes.data, _ref(1), work.ctypes.data, _ref(lwork),
            ctypes.byref(info))
     if info.value != 0:
         raise LinAlgError(f"eig algorithm (zhseqr) did not converge (info = {info.value})")
@@ -181,42 +182,109 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     k = min(k, ham.dimension)
     if ham.is_real:
         d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
-        if not vectors:
-            vals = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                    select_range=(0, k - 1))
-            return vals.astype(complex), None
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-        return vals.astype(complex), vecs.astype(complex)
+        vals, vecs = _eigh_tridiagonal(d, e, "i", (0, k - 1), vectors)
+        return vals.astype(complex), None if vecs is None else vecs.astype(complex)
     if not vectors:
         vals = _hessenberg_eigvals(ham)
         return vals[np.lexsort((vals.imag, vals.real))[:k]], None
+    from scipy.linalg import eig
     vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
     order = np.lexsort((vals.imag, vals.real))[:k]
     return vals[order], vecs[:, order]
+
+
+def _loaded_openblas() -> list:
+    """Every OpenBLAS mapped into this process (numpy and scipy may each load
+    their own) as ctypes libraries in path order; empty without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {f[5] for f in (line.rstrip("\n").split(maxsplit=5) for line in fh)
+                     if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        with suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    return libs
+
+
+# dstebz and dstein in the OpenBLAS of numpy and scipy wheels, and their integer type
+_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("scipy_{}_", ctypes.c_int32))
+
+
+@functools.lru_cache(maxsize=None)
+def _stebz_stein():
+    """(dstebz, dstein, integer type) of the first loaded OpenBLAS that exports
+    both, or None.  numpy's wheels bundle one with LAPACK, mapped at
+    `import numpy`; a library once loaded stays, so the answer is cached."""
+    for lib in _loaded_openblas():
+        for name, int_t in _LAPACK_SYMBOLS:
+            routines = [getattr(lib, name.format(r), None) for r in ("dstebz", "dstein")]
+            if None not in routines:
+                for routine, n_args in zip(routines, (18, 13)):
+                    routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
+                return (*routines, int_t)
+    return None
+
+
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
+                      vectors: bool):
+    """(values, vectors or None) of the real tridiagonal (d, e), bit for bit as
+    `scipy.linalg.eigh_tridiagonal(d, e, not vectors, select, select_range)`.
+
+    That runs LAPACK's bisection dstebz (abstol 0, ORDER 'E' for values only,
+    else 'B' followed by inverse iteration dstein and an argsort); the same
+    calls go here to a loaded OpenBLAS (`_stebz_stein`), without scipy.
+    eigh_tridiagonal itself runs where none exports them, for N = 1, for
+    non-finite input and where LAPACK reports an error.
+    """
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
+    n, lapack = len(d), _stebz_stein()
+    if lapack is not None and n > 1 and np.isfinite(d).all() and np.isfinite(e).all():
+        stebz, stein, int_t = lapack
+        vl, vu = map(float, select_range) if select == "v" else (0.0, 1.0)
+        il, iu = (1, 1) if select == "v" else (select_range[0] + 1, select_range[1] + 1)
+        m, nsplit, info = int_t(0), int_t(0), int_t(0)
+        w, iblock, isplit = np.zeros(n), np.zeros(n, int_t), np.zeros(n, int_t)
+        stebz(select.upper().encode(), b"B" if vectors else b"E", _ref(n, int_t),
+              _ref(vl, ctypes.c_double), _ref(vu, ctypes.c_double), _ref(il, int_t),
+              _ref(iu, int_t), _ref(0.0, ctypes.c_double), d.ctypes, e.ctypes,
+              ctypes.byref(m), ctypes.byref(nsplit), w.ctypes, iblock.ctypes, isplit.ctypes,
+              np.zeros(4 * n).ctypes, np.zeros(3 * n, int_t).ctypes, ctypes.byref(info))
+        w = w[:m.value]
+        if info.value == 0 and not vectors:
+            return w, None
+        if info.value == 0:
+            z = np.zeros((n, m.value), order="F")
+            stein(_ref(n, int_t), d.ctypes, e.ctypes, ctypes.byref(m), w.ctypes,
+                  iblock.ctypes, isplit.ctypes, z.ctypes, _ref(n, int_t),
+                  np.zeros(5 * n).ctypes, np.zeros(n, int_t).ctypes,
+                  np.zeros(m.value, int_t).ctypes, ctypes.byref(info))
+            if info.value == 0:
+                order = np.argsort(w)
+                return w[order], z[:, order]
+    from scipy.linalg import eigh_tridiagonal
+    found = eigh_tridiagonal(d, e, eigvals_only=not vectors, select=select,
+                             select_range=select_range)
+    return found if vectors else (found, None)
 
 
 @functools.lru_cache(maxsize=None)
 def _openblas_setters() -> tuple:
     """`openblas_set_num_threads_local` of every OpenBLAS loaded in this process.
 
-    numpy and scipy may each load their own.  Empty where none exports the
-    symbol (another BLAS, OpenBLAS before 0.3.27) or /proc/self/maps is absent.
+    The cap serves the Arnoldi solve, which runs in scipy's OpenBLAS, so
+    scipy.linalg is imported before the list is made and cached.  Empty where
+    none exports the symbol (another BLAS, OpenBLAS before 0.3.27) or
+    /proc/self/maps is absent.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {f[5] for f in (line.rstrip("\n").split(maxsplit=5) for line in fh)
-                     if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    except OSError:
-        return ()
-    setters = []
-    for path in sorted(paths):
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
+    setters = [lib.openblas_set_num_threads_local for lib in _loaded_openblas()
+               if hasattr(lib, "openblas_set_num_threads_local")]
+    for setter in setters:
         setter.argtypes = [ctypes.c_int]
         setter.restype = ctypes.c_int
-        setters.append(setter)
     return tuple(setters)
 
 
@@ -264,6 +332,8 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     n = ham.dimension
     if n - 1 <= ARNOLDI_START_K:
         return None
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
     off = np.full(n - 1, ham.off_diagonal, dtype=complex)
     dl, d, du, du2, ipiv, info = zgttrf(off, ham.diagonal - sigma, off)
     if info != 0:
@@ -311,10 +381,9 @@ def _states_below(ham: DiscretizedHamiltonian, threshold: float) -> NumericSpect
         d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
         window = (v.real.min() - 1.0, threshold)
         if ham.is_real:
-            vals, vecs = eigh_tridiagonal(d, e, select="v", select_range=window)
+            vals, vecs = _eigh_tridiagonal(d, e, "v", window, True)
         else:
-            m = len(eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                                     select_range=window))
+            m = len(_eigh_tridiagonal(d, e, "v", window, False)[0])
             sigma = complex(0.5 * (v.real.min() + threshold),
                             0.5 * (v.imag.min() + v.imag.max()))
             found = _certified_nearest(ham, sigma,

@@ -1,3 +1,6 @@
+import io
+import sys
+
 
 from susyhier.cli import main
 
@@ -111,6 +114,21 @@ def test_verify_mismatch_exit_code(tmp_path, capsys):
     assert "verdict = mismatch" in out
     assert "converged = true" in out
 
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as when the output is piped into head."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_verify_mismatch_exit_code_survives_a_closed_pipe(tmp_path, monkeypatch):
+    # a Hermitian well whose literal levels miss the operator's
+    cfg = write_cfg(tmp_path, "[model]\nfamily = morse_general\nv1 = 16.735\n"
+                              "v2 = 40.7195\n\n[run]\nn_max = 3\n")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["verify", "--config", cfg]) == 3
 
 def test_verify_diagnostic_family_never_gates(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[model]\nfamily = morse_pt2\nomega = 1\nd = 1\n"

@@ -1,4 +1,5 @@
-"""The closed-form layer and the CLI start without scipy.
+"""The closed-form layer and the CLI start without scipy, and a real well is
+verified without it.
 
 Each check runs in a fresh interpreter, because the test process has long
 imported the verifier by the time this file runs.
@@ -33,11 +34,15 @@ assert set(susyhier.__all__) <= set(dir(susyhier))
 """
 
 
-def _run(module: str) -> subprocess.CompletedProcess:
+def _python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable, "-c", PROBE.format(module=module)],
+    return subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run(module: str) -> subprocess.CompletedProcess:
+    return _python(PROBE.format(module=module))
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -53,3 +58,115 @@ def test_package_import_leaves_scipy_unloaded():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         susyhier.no_such_name
+
+
+REAL_WELL = """
+[model]
+family = morse_general
+v1 = 25
+v2 = 50
+
+[grid]
+x_min = -3
+x_max = 30
+n_points = 400
+
+[run]
+mode = self-consistent
+n_max = 3
+tol_abs = 0.1
+"""
+
+COMPLEX_WELL = """
+[model]
+family = poschl_teller
+v0 = 8+1i
+q = 1+0.3i
+
+[grid]
+x_min = -10
+x_max = 10
+n_points = 201
+
+[run]
+n_max = 1
+"""
+
+SCAN = COMPLEX_WELL.replace("[run]", """[run]
+scan1_param = v0
+scan1_component = re
+scan1_start = 6.0
+scan1_stop = 7.0
+scan1_count = 2
+scan2_param = q
+scan2_component = im
+scan2_start = 0.0
+scan2_stop = 0.3
+scan2_count = 2""")
+
+COMMANDS_PROBE = """
+import sys
+from susyhier.cli import main
+for command, path in {runs!r}:
+    code = main([command, "--config", path, "--out", path + ".out"])
+    assert code == 0, (command, code)
+print(",".join(m for m in ("scipy", "scipy.linalg", "scipy.sparse") if m in sys.modules))
+"""
+
+
+def _loaded_after(tmp_path, *runs):
+    """The scipy modules loaded after the CLI ran each (command, config text)."""
+    paths = []
+    for i, (command, text) in enumerate(runs):
+        path = tmp_path / f"{i}.ini"
+        path.write_text(text, encoding="utf-8")
+        paths.append((command, str(path)))
+    proc = _python(COMMANDS_PROBE.format(runs=paths))
+    assert proc.returncode == 0, proc.stderr
+    return set(filter(None, proc.stdout.strip().split(",")))
+
+
+@pytest.fixture(scope="module")
+def numpy_lapack():
+    """Skip where numpy's BLAS exports no dstebz and dstein, so real wells fall back to scipy."""
+    proc = _python("import sys; from susyhier import verifier; "
+                   "sys.exit(verifier._stebz_stein() is None)")
+    if proc.returncode != 0:
+        pytest.skip("numpy's BLAS exports no dstebz and dstein")
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "wavefunction"])
+def test_real_well_commands_leave_scipy_unloaded(command, tmp_path, request):
+    if command == "verify":
+        request.getfixturevalue("numpy_lapack")
+    assert _loaded_after(tmp_path, (command, REAL_WELL)) == set()
+
+
+def test_complex_verify_loads_no_arpack(tmp_path):
+    assert _loaded_after(tmp_path, ("verify", COMPLEX_WELL)) == {"scipy", "scipy.linalg"}
+
+
+def test_scan_loads_dense_and_arnoldi_solvers(tmp_path):
+    assert _loaded_after(tmp_path, ("scan", SCAN)) == {"scipy", "scipy.linalg", "scipy.sparse"}
+
+
+SETTERS_PROBE = """
+import ctypes, sys
+from susyhier import verifier
+from susyhier.cli import main
+assert main(["verify", "--config", {real!r}, "--out", {real!r} + ".out"]) == 0
+assert "scipy" not in sys.modules
+assert main(["scan", "--config", {scan!r}, "--out", {scan!r} + ".out"]) == 0
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = {{line.split()[-1] for line in fh if "openblas" in line.split()[-1]}}
+exporting = [p for p in paths if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")]
+assert len(verifier._openblas_setters()) == len(exporting), exporting
+"""
+
+
+def test_thread_cap_sees_scipy_openblas_after_a_real_well_verify(tmp_path, numpy_lapack):
+    real, scan = tmp_path / "real.ini", tmp_path / "scan.ini"
+    real.write_text(REAL_WELL, encoding="utf-8")
+    scan.write_text(SCAN, encoding="utf-8")
+    proc = _python(SETTERS_PROBE.format(real=str(real), scan=str(scan)))
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.linalg.lapack
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from susyhier import (
@@ -314,13 +316,13 @@ def test_targeted_bound_states_match_dense_property(v0_re, v0_im, q_re, q_im):
 def test_targeted_solve_grows_k_until_certified(monkeypatch):
     # a deep well keeps more than the first 16 eigenvalues inside the box
     ks = []
-    arnoldi = verifier_mod.eigs
+    arnoldi = scipy.sparse.linalg.eigs
 
     def counting(op, k, **kwargs):
         ks.append(k)
         return arnoldi(op, k=k, **kwargs)
 
-    monkeypatch.setattr(verifier_mod, "eigs", counting)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
     assert_targeted_matches_dense(PoschlTeller(800.0 + 1.0j, 1.0 + 0.3j), Grid(-10.0, 10.0, 129))
     assert ks == [16, 32]
 
@@ -330,7 +332,7 @@ def test_targeted_solve_small_grid_takes_dense_path(monkeypatch):
     def no_arnoldi(*args, **kwargs):
         raise AssertionError("shift-invert Arnoldi ran on a grid it cannot serve")
 
-    monkeypatch.setattr(verifier_mod, "eigs", no_arnoldi)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_arnoldi)
     for q in (1.0 + 0.4j, 1.0 - 0.4j):
         assert_targeted_matches_dense(PoschlTeller(6.0 + 1.0j, q), Grid(-10.0, 10.0, 18))
 
@@ -339,7 +341,7 @@ def test_targeted_solve_falls_back_when_arpack_fails(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-    monkeypatch.setattr(verifier_mod, "eigs", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), SCAN_GRID)
 
 
@@ -388,13 +390,13 @@ def scan_lattice_models():
 
 def recording_eigs(monkeypatch):
     ks = []
-    arnoldi = verifier_mod.eigs
+    arnoldi = scipy.sparse.linalg.eigs
 
     def recording(op, k, **kwargs):
         ks.append(k)
         return arnoldi(op, k=k, **kwargs)
 
-    monkeypatch.setattr(verifier_mod, "eigs", recording)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording)
     return ks
 
 
@@ -464,8 +466,8 @@ def test_targeted_solve_singular_factor_takes_dense_path(monkeypatch):
         dense_calls.append(k)
         return sorted_eig(ham, k, vectors)
 
-    monkeypatch.setattr(verifier_mod, "zgttrf", singular)
-    monkeypatch.setattr(verifier_mod, "eigs", no_arnoldi)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", singular)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_arnoldi)
     monkeypatch.setattr(verifier_mod, "_sorted_eig", counting_dense)
     model = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j)
     assert_targeted_matches_dense(model, SCAN_GRID)
@@ -524,7 +526,7 @@ def test_thread_cap_restored_when_arpack_raises(monkeypatch):
 
     calls = []
     monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
-    monkeypatch.setattr(verifier_mod, "eigs", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     spec = verifier_mod._states_below(build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j),
                                                         SCAN_GRID), 0.0)
     assert len(spec.eigenvalues) > 0  # from the dense fallback
