@@ -7,10 +7,9 @@ only to solve a complex-valued well, so real wells run without scipy.
 """
 import importlib
 
-from .errors import (ConfigError, ConvergenceFailureError, DegenerateQuadraticError,
-                     GridTooCoarseError, InvalidModelError, NotNormalizableError,
-                     PoleOnDomainError, SusyhierError, UnsupportedFamilyError,
-                     ZeroOmegaError)
+from .errors import (ConfigError, DegenerateQuadraticError, GridTooCoarseError,
+                     InvalidModelError, NotNormalizableError, PoleOnDomainError,
+                     SusyhierError, UnsupportedFamilyError, ZeroOmegaError)
 from .units import DEFAULT_UNITS, UnitSystem
 from .grids import Grid, ScanAxis, symmetric_grid
 from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller,
@@ -48,7 +47,7 @@ def __dir__():
 __all__ = [
     "SusyhierError", "InvalidModelError", "PoleOnDomainError", "ZeroOmegaError",
     "UnsupportedFamilyError", "DegenerateQuadraticError", "NotNormalizableError",
-    "GridTooCoarseError", "ConvergenceFailureError", "ConfigError",
+    "GridTooCoarseError", "ConfigError",
     "UnitSystem", "DEFAULT_UNITS", "Grid", "symmetric_grid",
     "MorseGeneral", "MorseNonPT", "MorsePT1", "MorsePT2", "PoschlTeller",
     "PoschlTellerPT", "PotentialModel", "SymmetryClass", "classify_symmetry",

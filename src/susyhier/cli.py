@@ -9,6 +9,7 @@ non-convergence, 3 verification mismatch (Hermitian families only).
 All data rows are serialized with shortest round-trip decimals so repeated
 runs on the same config are byte-identical; warnings go to stderr.
 
+Each `cmd_*` function's docstring is its subcommand's `--help` line.
 `verify` and `scan` import the finite-difference verifier when they run, so
 the closed-form commands start without it; only complex-valued wells import scipy.
 """
@@ -45,6 +46,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
+    """emit the closed-form energy levels as CSV"""
     records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units, mode=cfg.mode)
     lines = ["n,l,E_re,E_im,formula,admissible"]
     warnings = []
@@ -61,6 +63,7 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
+    """compare closed forms against the finite-difference solver"""
     from .verifier import Verdict, verify
     records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units, mode=cfg.mode)
     report = verify(cfg.model, records, cfg.grid, cfg.tol_abs, cfg.units)
@@ -104,6 +107,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 
 def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
+    """sweep two parameter components and map spectral reality"""
     if cfg.scan1 is None or cfg.scan2 is None:
         raise ConfigError("[run]: scan command needs scan1_* and scan2_* axes")
     from .verifier import reality_scan
@@ -130,6 +134,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[str, list[str], int]:
+    """sample the ground-state wavefunction on the grid"""
     sample = groundstate_wavefunction(cfg.model, cfg.l, cfg.grid, cfg.units)
     lines = []
     if not sample.normalized:
@@ -156,13 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="susyhier",
         description="Closed-form hierarchy spectra with a finite-difference cross-check")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("spectrum", "emit the closed-form energy levels as CSV"),
-        ("verify", "compare closed forms against the finite-difference solver"),
-        ("scan", "sweep two parameter components and map spectral reality"),
-        ("wavefunction", "sample the ground-state wavefunction on the grid"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument("--mode", choices=sorted(_MODE_TOKENS), default=None,

@@ -2,16 +2,18 @@
 
 Grammar: `[section]` headers followed by `key = value` lines; `#` or `;`
 starts a comment, on a line of its own or after a header or value; blank
-lines are ignored.  Sections are `[model]`, `[grid]`, `[units]`, `[run]`.
-Complex values are written `a+bi` / `a-bi` (also plain `a` or `bi`).  Unknown
-sections, unknown keys, duplicate keys, and malformed values are all hard
-errors -- nothing is computed from a config that does not parse cleanly.
+lines and a leading UTF-8 byte-order mark are ignored.  Sections are
+`[model]`, `[grid]`, `[units]`, `[run]`; each key is a field of the class its
+section builds, and a key left out takes the field's default.  Complex values
+are written `a+bi` / `a-bi` (also plain `a` or `bi`).  Unknown sections,
+unknown keys, duplicate keys, and malformed values are all hard errors --
+nothing is computed from a config that does not parse cleanly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Container, Optional
+from typing import Optional
 
 from .errors import ConfigError
 from .grids import Grid, ScanAxis
@@ -19,11 +21,6 @@ from .hierarchy import Mode
 from .potentials import FAMILIES, PotentialModel
 from .units import UnitSystem
 
-_SCAN_FIELDS = ("param", "component", "start", "stop", "count")
-_RUN_KEYS = ({"mode", "l", "l_max", "n_max", "tol_abs", "tol_imag", "workers"}
-             | {f"scan{i}_{f}" for i in (1, 2) for f in _SCAN_FIELDS})
-
-_MODES = {m.value: m for m in Mode}
 # grid size when the config has no [grid] n_points
 DEFAULT_POINTS = 4000
 
@@ -60,9 +57,20 @@ def _parse_int(text: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
 
 
-# [model], [grid] and [units] keys are the fields of the class they build;
-# a field's annotation picks the parser of its value
-_PARSERS = {"complex": parse_complex_literal, "float": _parse_real, "int": _parse_int}
+def _parse_mode(text: str, where: str) -> Mode:
+    try:
+        return Mode(text.replace("-", "_"))
+    except ValueError:
+        section, key = where.split(" ", 1)
+        raise ConfigError(f"{section}: {key} must be "
+                          f"{' or '.join(m.value for m in Mode)}, got {text!r}") from None
+
+
+# a section's keys are the fields of the class it builds, and a field's
+# annotation picks the parser of its value (a str is kept as written); [run]
+# also sets `<axis>_<field>` for each scan axis and each field of ScanAxis
+_PARSERS = {"complex": parse_complex_literal, "float": _parse_real, "int": _parse_int,
+            "str": lambda text, where: text, "Mode": _parse_mode}
 
 
 @dataclass(frozen=True)
@@ -70,16 +78,25 @@ class RunConfig:
     model: PotentialModel
     grid: Grid
     units: UnitSystem
-    mode: Mode
-    l: int
-    l_max: int
-    n_max: int
-    tol_abs: float
-    tol_imag: float
-    workers: int
-    scan1: Optional[ScanAxis]
-    scan2: Optional[ScanAxis]
     grid_given: bool
+    mode: Mode = Mode.PAPER_LITERAL
+    l: int = 0
+    l_max: int = 0
+    n_max: int = 8
+    tol_abs: float = 1e-3
+    tol_imag: float = 1e-6
+    workers: int = 1
+    scan1: Optional[ScanAxis] = None
+    scan2: Optional[ScanAxis] = None
+
+
+# built once, at import: a parse that called fields() would pay for it per config
+_GRID_KINDS, _UNITS_KINDS, _RUN_KINDS, _SCAN_KINDS = (
+    {f.name: f.type for f in fields(cls) if f.type in _PARSERS}
+    for cls in (Grid, UnitSystem, RunConfig, ScanAxis))
+_AXES = {f.name: [f"{f.name}_{key}" for key in _SCAN_KINDS]
+         for f in fields(RunConfig) if f.type == "Optional[ScanAxis]"}
+_RUN_KINDS.update((f"{axis}_{key}", kind) for axis in _AXES for key, kind in _SCAN_KINDS.items())
 
 
 def default_grid(model: PotentialModel) -> Grid:
@@ -143,32 +160,27 @@ def _build_model(items: dict[str, str]) -> PotentialModel:
     return FAMILIES[family](**kwargs)
 
 
-def _check_keys(section: str, items: dict[str, str], allowed: Container[str]):
+def _field_values(section: str, items: dict[str, str], kinds: dict[str, str]) -> dict:
+    """The keys of `kinds` that the section sets, parsed; any other key is an error."""
     for key in items:
-        if key not in allowed:
+        if key not in kinds:
             raise ConfigError(f"[{section}]: unknown key {key!r}")
-
-
-def _field_values(section: str, items: dict[str, str], cls) -> dict:
-    """The fields of dataclass `cls` that the section sets, parsed."""
-    kinds = {f.name: f.type for f in fields(cls)}
-    _check_keys(section, items, kinds)
     return {key: _PARSERS[kind](items[key], f"[{section}] {key}")
             for key, kind in kinds.items() if key in items}
 
 
-def _scan_axis(items: dict[str, str], prefix: str) -> Optional[ScanAxis]:
-    present = [f for f in _SCAN_FIELDS if f"{prefix}_{f}" in items]
-    if not present:
+def _scan_axis(run: dict, keys: list[str]) -> Optional[ScanAxis]:
+    """The axis that `keys` set in the parsed [run] values, which it takes out of `run`."""
+    missing = [key for key in keys if key not in run]
+    if len(missing) == len(keys):
         return None
-    missing = [f"{prefix}_{f}" for f in _SCAN_FIELDS if f"{prefix}_{f}" not in items]
     if missing:
         raise ConfigError(f"[run]: incomplete scan axis, missing {', '.join(missing)}")
-    return ScanAxis(param=items[f"{prefix}_param"],
-                    component=items[f"{prefix}_component"],
-                    start=_parse_real(items[f"{prefix}_start"], f"[run] {prefix}_start"),
-                    stop=_parse_real(items[f"{prefix}_stop"], f"[run] {prefix}_stop"),
-                    count=_parse_int(items[f"{prefix}_count"], f"[run] {prefix}_count"))
+    values = [run.pop(key) for key in keys]
+    try:
+        return ScanAxis(*values)
+    except ValueError as exc:  # ScanAxis invariant violations
+        raise ConfigError(f"[run]: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -178,52 +190,25 @@ def parse_config(text: str) -> RunConfig:
     model = _build_model(sections["model"])
 
     grid_items = sections.get("grid", {})
-    grid = replace(default_grid(model), **_field_values("grid", grid_items, Grid))
-    units = UnitSystem(**_field_values("units", sections.get("units", {}), UnitSystem))
+    grid = replace(default_grid(model), **_field_values("grid", grid_items, _GRID_KINDS))
+    units = UnitSystem(**_field_values("units", sections.get("units", {}), _UNITS_KINDS))
 
-    run_items = sections.get("run", {})
-    _check_keys("run", run_items, _RUN_KEYS)
-    mode_token = run_items.get("mode", "paper_literal").replace("-", "_")
-    if mode_token not in _MODES:
-        raise ConfigError(f"[run]: mode must be {' or '.join(_MODES)}, "
-                          f"got {run_items.get('mode')!r}")
-
-    def run_int(key, default):
-        return _parse_int(run_items[key], f"[run] {key}") if key in run_items else default
-
-    def run_real(key, default):
-        return _parse_real(run_items[key], f"[run] {key}") if key in run_items else default
-
-    l = run_int("l", 0)
-    l_max = run_int("l_max", 0)
-    n_max = run_int("n_max", 8)
-    workers = run_int("workers", 1)
-    if l < 0 or l_max < 0 or n_max < 0:
+    run = _field_values("run", sections.get("run", {}), _RUN_KINDS)
+    axes = {axis: _scan_axis(run, keys) for axis, keys in _AXES.items()}
+    cfg = RunConfig(model=model, grid=grid, units=units, grid_given="n_points" in grid_items,
+                    **run, **axes)
+    if cfg.l < 0 or cfg.l_max < 0 or cfg.n_max < 0:
         raise ConfigError("[run]: l, l_max and n_max must be non-negative")
-    if workers < 1:
+    if cfg.workers < 1:
         raise ConfigError("[run]: workers must be >= 1")
-    tol_abs = run_real("tol_abs", 1e-3)
-    tol_imag = run_real("tol_imag", 1e-6)
-    if tol_abs <= 0 or tol_imag <= 0:
+    if cfg.tol_abs <= 0 or cfg.tol_imag <= 0:
         raise ConfigError("[run]: tolerances must be positive")
-
-    try:
-        scan1 = _scan_axis(run_items, "scan1")
-        scan2 = _scan_axis(run_items, "scan2")
-    except ConfigError:
-        raise
-    except ValueError as exc:  # ScanAxis invariant violations
-        raise ConfigError(f"[run]: {exc}") from None
-
-    return RunConfig(model=model, grid=grid, units=units, mode=_MODES[mode_token],
-                     l=l, l_max=l_max, n_max=n_max, tol_abs=tol_abs,
-                     tol_imag=tol_imag, workers=workers, scan1=scan1, scan2=scan2,
-                     grid_given="n_points" in grid_items)
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None

@@ -33,9 +33,5 @@ class GridTooCoarseError(SusyhierError, ValueError):
     """The grid has too few points for a meaningful discretization."""
 
 
-class ConvergenceFailureError(SusyhierError, RuntimeError):
-    """Grid-refinement certificate failed at the requested tolerance."""
-
-
 class ConfigError(SusyhierError, ValueError):
     """Run configuration file is malformed or contains unknown keys."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional, Union, get_args
 
@@ -623,6 +623,5 @@ def morse_nonpt_from_abc(a: float, b: float, c: float,
     if abs(d.imag) > 1e-12 * max(1.0, abs(d)) or abs(p.imag) > 1e-12 * max(1.0, abs(p)):
         raise InvalidModelError("chain produces complex (d, p); the compact form needs a = 0")
     model = MorseNonPT(d=d.real, p=p.real)
-    return model, DerivedParams(lam=model.lam(units), omega=chain.omega, k_odd=chain.k_odd,
-                                g=chain.g, t=chain.t, d=chain.d, p=chain.p)
+    return model, replace(chain, lam=model.lam(units))
 

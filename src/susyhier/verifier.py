@@ -624,29 +624,23 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
     Im(V0) Re(q) = Re(V0) Im(q) is recorded alongside.  Per-point failures
     (a pole crossing the domain, or no bound state to judge) land in the
     status column rather than aborting the scan.  Results come back in
-    lattice order (axis1 outer).
+    lattice order (axis1 outer).  The two axes must sweep different components.
     """
     if not isinstance(model, PoschlTeller):
         raise InvalidModelError("reality scan is defined for the rational well")
+    if (axis1.param, axis1.component) == (axis2.param, axis2.component):
+        raise InvalidModelError(f"scan axes must differ, both sweep {axis1.param} {axis1.component}")
 
     def one(p1, p2):
         m = _with_component(_with_component(model, axis1, p1), axis2, p2)
-        holds = reality_condition(m.v0, m.q)
         try:
-            ham = build_hamiltonian(m, grid, units)
-            bound = bound_states(_states_below(ham, 0.0))
-            n_ret = len(bound.eigenvalues)
-            if not n_ret:
-                return ScanRecord(param1=float(p1), param2=float(p2),
-                                  max_im_e=float("nan"), n_retained=0, is_real=False,
-                                  condition_holds=holds, status="no_bound_state")
-            max_im = float(np.abs(bound.eigenvalues.imag).max())
-            return ScanRecord(param1=float(p1), param2=float(p2), max_im_e=max_im,
-                              n_retained=n_ret, is_real=bool(max_im < tol_imag),
-                              condition_holds=holds, status="ok")
+            eigs = bound_states(_states_below(build_hamiltonian(m, grid, units), 0.0)).eigenvalues
+            status = "ok" if len(eigs) else "no_bound_state"
         except PoleOnDomainError:
-            return ScanRecord(param1=float(p1), param2=float(p2), max_im_e=float("nan"),
-                              n_retained=0, is_real=False, condition_holds=holds,
-                              status="pole_on_domain")
+            eigs, status = np.empty(0, complex), "pole_on_domain"
+        max_im = float(np.abs(eigs.imag).max()) if len(eigs) else float("nan")
+        return ScanRecord(param1=float(p1), param2=float(p2), max_im_e=max_im,
+                          n_retained=len(eigs), is_real=bool(max_im < tol_imag),
+                          condition_holds=reality_condition(m.v0, m.q), status=status)
 
     return [one(p1, p2) for p1 in axis1.values() for p2 in axis2.values()]

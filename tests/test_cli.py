@@ -1,8 +1,9 @@
 import io
 import sys
 
+import pytest
 
-from susyhier.cli import main
+from susyhier.cli import _COMMANDS, main
 
 MORSE_VERIFY = """
 [model]
@@ -212,6 +213,19 @@ def test_scan_requires_both_axes(tmp_path, capsys):
     assert "scan1_" in capsys.readouterr().err
 
 
+def test_scan_refuses_two_axes_on_one_component(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n"
+                              "\n[grid]\nn_points = 257\n"
+                              "\n[run]\nscan1_param = v0\nscan1_component = re\n"
+                              "scan1_start = 6\nscan1_stop = 7\nscan1_count = 2\n"
+                              "scan2_param = v0\nscan2_component = re\n"
+                              "scan2_start = 1\nscan2_stop = 2\nscan2_count = 2\n")
+    assert main(["scan", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan axes must differ, both sweep v0 re\n"
+
+
 # ---------------------------------------------------------------------------
 # wavefunction
 # ---------------------------------------------------------------------------
@@ -247,6 +261,16 @@ def test_wavefunction_unnormalized_flag(tmp_path, capsys):
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_help_lists_each_command_with_its_docstring(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+    assert "{spectrum,verify,scan,wavefunction}" in words
+    for name, command in _COMMANDS.items():
+        assert command.__doc__ and f" {name} {command.__doc__} " in words
 
 
 def test_non_utf8_config_exits_1(tmp_path, capsys):

@@ -1,10 +1,13 @@
-from dataclasses import fields
+import random
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyhier import (
     ConfigError,
+    Grid,
     Mode,
     MorseGeneral,
     MorseNonPT,
@@ -12,12 +15,17 @@ from susyhier import (
     MorsePT2,
     PoschlTeller,
     PoschlTellerPT,
+    RunConfig,
+    ScanAxis,
+    SusyhierError,
+    UnitSystem,
     ZeroOmegaError,
     load_config,
     parse_complex_literal,
     parse_config,
 )
 from susyhier.cli import main
+from susyhier.potentials import FAMILIES
 
 MINIMAL = """
 [model]
@@ -138,6 +146,14 @@ def test_readme_example_config_parses(tmp_path, capsys):
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_points) == (-3.0, 30.0, 4000)
     assert (cfg.units.hbar, cfg.units.mass, cfg.units.e_sq) == (1.0, 0.5, 1.0)
     assert (cfg.mode, cfg.n_max, cfg.tol_imag, cfg.workers) == (Mode.PAPER_LITERAL, 8, 1e-6, 1)
+    # the "[run]  # optional; defaults shown" block sets each [run] field that
+    # has a default other than None, to that default
+    run_block = example.split("\n[run]", 1)[1].split("\n\n", 1)[0]
+    shown = [line.split("=", 1)[0].strip() for line in run_block.splitlines()[1:]]
+    defaults = {f.name: f.default for f in fields(RunConfig)
+                if f.default is not MISSING and f.default is not None}
+    assert shown == list(defaults)
+    assert {key: getattr(cfg, key) for key in shown} == defaults
     scan_cfg = parse_config(scan_example)
     assert scan_cfg.model == PoschlTeller(6.0, 1.0)
     assert (scan_cfg.scan1.param, scan_cfg.scan1.stop, scan_cfg.scan2.param,
@@ -286,6 +302,81 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.model == PoschlTeller(6.0, 1.0 + 0.5j, 2.0)
 
 
+def test_load_config_accepts_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.ini"
+    p.write_text(FULL, encoding="utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(str(p)) == parse_config(FULL)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.ini"))
+
+
+# ---------------------------------------------------------------------------
+# fuzzed text
+# ---------------------------------------------------------------------------
+
+# each section's real keys, and values that suit a key or do not
+_AXES = [[f"scan{i}_{f.name}" for f in fields(ScanAxis)] for i in (1, 2)]
+_SECTION_KEYS = {
+    "model": sorted({f.name for cls in FAMILIES.values() for f in fields(cls)}),
+    "grid": [f.name for f in fields(Grid)],
+    "units": [f.name for f in fields(UnitSystem)],
+    "run": [f.name for f in fields(RunConfig) if f.default not in (MISSING, None)],
+}
+_ALL_KEYS = sorted({key for keys in _SECTION_KEYS.values() for key in keys}
+                   | {"family", *_AXES[0], *_AXES[1], "grid_given", "scan1"})
+_WORDS = {"family": sorted(FAMILIES), "mode": ["paper-literal", "self_consistent", "x"],
+          "param": ["v0", "q", "alpha"], "component": ["re", "im"]}
+_NUMBERS = ["0", "1", "-1", "3", "8", "16", "257", "2.5", "-10", "1e-3"]
+_ODD = ["1e400", "nan", "1+2i", "-i", "2j", "1.5.2", "", *_NUMBERS, *sorted(FAMILIES)]
+# text on one line: any character but a control character or a line break
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=16)
+
+
+@st.composite
+def _config_texts(draw):
+    """A [model] section, and maybe [grid], [units] and [run], of real keys with
+    suited or arbitrary values, in any order and mixed with arbitrary lines."""
+    # one drawn seed picks the structure, so only the drawn text shrinks
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def line(key):
+        roll = rnd.random()
+        value = (rnd.choice(_WORDS.get(key.rsplit("_", 1)[-1], _NUMBERS)) if roll < 0.85
+                 else rnd.choice(_ODD) if roll < 0.93 else draw(_TEXT))
+        return f"{key} = {value}"
+
+    family = rnd.choice(sorted(FAMILIES))
+    keys = {"model": [f.name for f in fields(FAMILIES[family])]}
+    for name in ("grid", "units", "run"):
+        if rnd.random() < 0.6:
+            keys[name] = rnd.sample(_SECTION_KEYS[name], rnd.randint(0, 3))
+    if "run" in keys:  # a scan axis is five keys, so add whole axes
+        keys["run"] += [key for axis in _AXES if rnd.random() < 0.6 for key in axis]
+    for name in keys:
+        while rnd.random() < 0.1:  # a key of another family or section
+            keys[name].append(rnd.choice(_ALL_KEYS))
+        if rnd.random() < 0.1:
+            keys[name] = keys[name][:-1]
+    chunks = [[f"[{name}]", *map(line, sorted(set(ks), key=ks.index))]
+              for name, ks in keys.items()]
+    chunks[0].insert(1, f"family = {family}" if rnd.random() < 0.9 else line("family"))
+    for prefix in ("", "# "):  # an arbitrary line, a comment
+        if rnd.random() < 0.2:
+            chunks.append([prefix + draw(_TEXT)])
+    rnd.shuffle(chunks)
+    return "\n".join(line for chunk in chunks for line in chunk)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_config_texts())
+def test_parse_config_raises_only_package_errors(text):
+    """Real section names, keys and values mixed with arbitrary lines either
+    parse or raise an error of the package, never anything else."""
+    try:
+        parse_config(text)
+    except SusyhierError:
+        pass

@@ -263,6 +263,14 @@ def test_reality_scan_pure_imaginary_lattice():
     assert max(r.max_im_e for r in recs) < 1e-10
 
 
+def test_reality_scan_rejects_two_axes_on_one_component():
+    # the second axis would overwrite the first, so the rows would name
+    # parameters that no well was built with
+    with pytest.raises(InvalidModelError, match="scan axes must differ, both sweep v0 re"):
+        reality_scan(PoschlTeller(6.0, 1.0, 1.0), ScanAxis("v0", "re", 6.0, 7.0, 2),
+                     ScanAxis("v0", "re", 1.0, 2.0, 2), SCAN_GRID)
+
+
 def test_reality_scan_lattice_order_and_pole_status():
     recs = reality_scan(PoschlTeller(6.0, 1.0, 1.0),
                         ScanAxis("q", "re", -0.5, 0.5, 2),
