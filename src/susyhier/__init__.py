@@ -21,8 +21,7 @@ from .expressions import (DerivativeScale, ExpTerm, RationalPartner, RationalTer
                           SuperpotentialExpr, exp_sum, riccati_apply)
 from .hierarchy import (HierarchyLevel, Mode, RiccatiResidualReport,
                         SelfConsistentSolution, hierarchy, ladder, partner_potential,
-                        riccati_residual, selfconsistent_for_model,
-                        solve_selfconsistent_morse, superpotential)
+                        riccati_residual, solve_selfconsistent_morse, superpotential)
 from .spectra import (EnergyRecord, QuantumNumbers, WavefunctionSample, energy_record,
                       groundstate_wavefunction, spectrum_records)
 from .config import (RunConfig, default_grid, load_config, parse_config,
@@ -56,7 +55,7 @@ __all__ = [
     "DerivativeScale", "riccati_apply",
     "Mode", "HierarchyLevel", "SelfConsistentSolution", "RiccatiResidualReport",
     "hierarchy", "ladder", "partner_potential", "riccati_residual",
-    "selfconsistent_for_model", "solve_selfconsistent_morse", "superpotential",
+    "solve_selfconsistent_morse", "superpotential",
     "SpectrumFormula", "QuantumNumbers", "EnergyRecord", "WavefunctionSample",
     "energy_record", "energy_morse_complex",
     "energy_morse_general", "energy_morse_shifted", "energy_poschl_teller",

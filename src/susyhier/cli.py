@@ -3,8 +3,8 @@
     susyhier <spectrum|verify|scan|wavefunction> --config <path>
              [--out <path>] [--mode paper-literal|self-consistent]
 
-Exit codes: 0 success, 1 invalid config or model precondition, 2 numerical
-non-convergence, 3 verification mismatch (Hermitian families only).
+Exit codes: 0 success, 1 usage error, invalid config or model precondition,
+2 numerical non-convergence, 3 verification mismatch (Hermitian families only).
 
 All data rows are serialized with shortest round-trip decimals so repeated
 runs on the same config are byte-identical; warnings go to stderr.
@@ -127,9 +127,6 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
     if not cfg.grid_given:
         warnings.append(f"warning: scanning on the default {DEFAULT_POINTS}-point grid; "
                         "set [grid] n_points for faster sweeps")
-    if cfg.workers > 1:
-        warnings.append(f"warning: [run] workers = {cfg.workers} is ignored; "
-                        "the scan runs its points in sequence")
     return "\n".join(lines) + "\n", warnings, EXIT_OK
 
 
@@ -154,10 +151,16 @@ _COMMANDS: dict[str, Callable[[RunConfig], tuple[str, list[str], int]]] = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, which here means EXIT_NOT_CONVERGED
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 # parsing does not change the parser, so one serves every main() call
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="susyhier",
         description="Closed-form hierarchy spectra with a finite-difference cross-check")
     sub = parser.add_subparsers(dest="command", required=True)

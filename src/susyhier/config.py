@@ -85,7 +85,6 @@ class RunConfig:
     n_max: int = 8
     tol_abs: float = 1e-3
     tol_imag: float = 1e-6
-    workers: int = 1
     scan1: Optional[ScanAxis] = None
     scan2: Optional[ScanAxis] = None
 
@@ -199,8 +198,6 @@ def parse_config(text: str) -> RunConfig:
                     **run, **axes)
     if cfg.l < 0 or cfg.l_max < 0 or cfg.n_max < 0:
         raise ConfigError("[run]: l, l_max and n_max must be non-negative")
-    if cfg.workers < 1:
-        raise ConfigError("[run]: workers must be >= 1")
     if cfg.tol_abs <= 0 or cfg.tol_imag <= 0:
         raise ConfigError("[run]: tolerances must be positive")
     return cfg

@@ -78,11 +78,6 @@ class SuperpotentialExpr:
                 return t.coeff
         return 0j
 
-    def without_constant(self) -> "SuperpotentialExpr":
-        return SuperpotentialExpr(self.rate,
-                                  tuple(t for t in self.exp_terms if t.k != 0),
-                                  self.rational_terms)
-
     # -- evaluation --------------------------------------------------------
 
     def _u(self, x, power):
@@ -111,28 +106,6 @@ class SuperpotentialExpr:
             denom = 1.0 + t.q * u
             # d/dx [u/(1+qu)^2] = -p r u (1 - q u) / (1 + q u)^3
             out = out - t.power * self.rate * t.coeff * u * (1.0 - t.q * u) / denom**3
-        return out
-
-    def antiderivative(self, x):
-        """Exact integral of the expression, integration constant 0.
-
-        Exponential terms integrate to c e^{-k r x} / (-k r); the constant
-        term contributes c x; the rational kernel integrates to
-        c / (p r q (1 + q u)).
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for t in self.exp_terms:
-            if t.k:
-                out = out + t.coeff * self._u(x, t.k) / (-t.k * self.rate)
-            else:
-                out = out + t.coeff * x
-        for t in self.rational_terms:
-            if t.q == 0:
-                out = out + t.coeff * self._u(x, t.power) / (-t.power * self.rate)
-            else:
-                u = self._u(x, t.power)
-                out = out + t.coeff / (t.power * self.rate * t.q * (1.0 + t.q * u))
         return out
 
 

@@ -110,18 +110,15 @@ def solve_selfconsistent_morse(c2: complex, c1: complex,
     return SelfConsistentSolution(b=b, a=a, rate=rate)
 
 
-def selfconsistent_for_model(model: PotentialModel) -> SelfConsistentSolution:
-    """The matched solution; UnsupportedFamilyError unless the well is two-term exponential."""
-    c2, c1, rate = model.exponential_coefficients()
-    return solve_selfconsistent_morse(c2, c1, rate)
-
-
 Ladder = Union[PotentialModel, SelfConsistentSolution]
 
 
 def ladder(model: PotentialModel, mode: Mode) -> Ladder:
-    """The object whose levels, superpotentials and partners make up the mode's hierarchy."""
-    return selfconsistent_for_model(model) if mode is Mode.SELF_CONSISTENT else model
+    """The object whose levels, superpotentials and partners make up the mode's hierarchy;
+    self-consistent mode needs a two-term exponential well (else UnsupportedFamilyError)."""
+    if mode is Mode.SELF_CONSISTENT:
+        return solve_selfconsistent_morse(*model.exponential_coefficients())
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ from .units import UnitSystem, DEFAULT_UNITS
 # to the peak, for the state to count as bound
 EDGE_DECAY_RTOL = 1e-6
 
+# a bound state lies below the continuum edge, the x -> +infinity limit of every well here
+CONTINUUM_EDGE = 0.0
+
 # shift-invert Arnoldi asks for at most this many eigenpairs at first and
 # doubles the count until the numerical-range certificate holds; a grid with
 # N - 1 <= ARNOLDI_START_K interior points goes to the dense solver instead
@@ -356,41 +359,41 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     return None
 
 
-def _states_below(ham: DiscretizedHamiltonian, threshold: float) -> NumericSpectrum:
-    """Every eigenpair with Re E < threshold, sorted by (Re, Im).
+def _states_below(ham: DiscretizedHamiltonian) -> NumericSpectrum:
+    """Every eigenpair with Re E < CONTINUUM_EDGE, sorted by (Re, Im).
 
     With V = diagonal + 2 off_diagonal the potential on the interior points,
     the numerical range of H, and so every eigenvalue, lies in
     Re E > min Re V, min Im V <= Im E <= max Im V: the Laplacian part is
     positive definite and real.  Real wells take the window
-    (min V - 1, threshold] of the tridiagonal solver.  Complex wells take the
-    eigenvalues nearest the centre of the box [min Re V, threshold] x
-    [min Im V, max Im V] until the farthest of them lies outside the circle
-    around the box, which proves that none inside it is missing; the dense
-    solver takes over where shift-invert Arnoldi cannot give that proof.  The
-    first Arnoldi call asks for as many pairs as the Hermitian part Re H has
-    levels in the same window, plus ARNOLDI_MARGIN, at most ARNOLDI_START_K:
-    that count follows the depth of the well, and the certificate corrects a
-    guess that falls short.
+    (min V - 1, CONTINUUM_EDGE] of the tridiagonal solver.  Complex wells
+    take the eigenvalues nearest the centre of the box
+    [min Re V, CONTINUUM_EDGE] x [min Im V, max Im V] until the farthest of
+    them lies outside the circle around the box, which proves that none
+    inside it is missing; the dense solver takes over where shift-invert
+    Arnoldi cannot give that proof.  The first Arnoldi call asks for as many
+    pairs as the Hermitian part Re H has levels in the same window, plus
+    ARNOLDI_MARGIN, at most ARNOLDI_START_K: that count follows the depth of
+    the well, and the certificate corrects a guess that falls short.
     """
     n = ham.dimension
     v = ham.diagonal + 2.0 * ham.off_diagonal
     vals = np.zeros(0, dtype=complex)
     vecs = np.zeros((n, 0), dtype=complex)
-    if v.real.min() < threshold:
+    if v.real.min() < CONTINUUM_EDGE:
         d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
-        window = (v.real.min() - 1.0, threshold)
+        window = (v.real.min() - 1.0, CONTINUUM_EDGE)
         if ham.is_real:
             vals, vecs = _eigh_tridiagonal(d, e, "v", window, True)
         else:
             m = len(_eigh_tridiagonal(d, e, "v", window, False)[0])
-            sigma = complex(0.5 * (v.real.min() + threshold),
+            sigma = complex(0.5 * (v.real.min() + CONTINUUM_EDGE),
                             0.5 * (v.imag.min() + v.imag.max()))
             found = _certified_nearest(ham, sigma,
-                                       abs(complex(threshold, v.imag.max()) - sigma),
+                                       abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma),
                                        min(ARNOLDI_START_K, m + ARNOLDI_MARGIN))
             vals, vecs = found if found is not None else _sorted_eig(ham, n)
-        below = vals.real < threshold
+        below = vals.real < CONTINUUM_EDGE
         vals, vecs = vals[below], vecs[:, below]
         order = np.lexsort((vals.imag, vals.real))
         vals, vecs = vals[order].astype(complex), vecs[:, order].astype(complex)
@@ -428,21 +431,19 @@ def _conjugates_first(vals: np.ndarray) -> np.ndarray:
     return order
 
 
-def _richardson_levels(ham: DiscretizedHamiltonian, k: int, vectors: bool):
-    """The k lowest levels of one grid, tied conjugate pairs Im < 0 first.
+def _richardson_levels(ham: DiscretizedHamiltonian, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of one grid, tied conjugate pairs Im < 0 first.
 
     A complex well's solve looks one level past k, so that a pair which the
     cut splits is ordered too; the dense solver computes every level anyway.
     """
-    spec = eigen_spectrum(ham, k if ham.is_real else k + 1, vectors)
-    order = _conjugates_first(spec.eigenvalues)[:k]
-    vecs = None if spec.eigenvectors is None else spec.eigenvectors[:, order]
-    return spec.eigenvalues[order], vecs
+    vals = eigen_spectrum(ham, k if ham.is_real else k + 1, vectors=False).eigenvalues
+    return vals[_conjugates_first(vals)[:k]]
 
 
 def converged_spectrum(model: PotentialModel, grid: Grid, k: int,
                        units: UnitSystem = DEFAULT_UNITS,
-                       tol_abs: float = 1e-3, vectors: bool = True) -> NumericSpectrum:
+                       tol_abs: float = 1e-3) -> NumericSpectrum:
     """Solve at h and h/2, certify |E(h) - E(h/2)| < tol_abs/2, extrapolate.
 
     The returned eigenvalues are the O(h^4) Richardson combination
@@ -450,39 +451,31 @@ def converged_spectrum(model: PotentialModel, grid: Grid, k: int,
     Within a conjugate pair whose real parts tie to roundoff, the (Re, Im)
     order is roundoff too, so on each grid such a pair is put with its
     Im < 0 partner first, and E is never combined with the other grid's E*.
-    Eigenvectors come from the fine grid, and only with vectors=True (else
-    None); the coarse grid never computes them.
+    Neither grid computes eigenvectors, so `eigenvectors` is None.
     """
-    coarse, _ = _richardson_levels(build_hamiltonian(model, grid, units), k, False)
+    coarse = _richardson_levels(build_hamiltonian(model, grid, units), k)
     fine_grid = grid.refined()
-    fine, fine_vecs = _richardson_levels(build_hamiltonian(model, fine_grid, units), k,
-                                         vectors)
+    fine = _richardson_levels(build_hamiltonian(model, fine_grid, units), k)
     n = min(len(coarse), len(fine))
     deltas = np.abs(coarse[:n] - fine[:n])
     delta = float(deltas.max()) if n else float("nan")
     extrapolated = (4.0 * fine[:n] - coarse[:n]) / 3.0
-    return NumericSpectrum(eigenvalues=extrapolated,
-                           eigenvectors=None if fine_vecs is None else fine_vecs[:, :n],
-                           grid=fine_grid, converged=bool(delta < tol_abs / 2.0),
-                           richardson_delta=delta)
+    return NumericSpectrum(eigenvalues=extrapolated, eigenvectors=None, grid=fine_grid,
+                           converged=bool(delta < tol_abs / 2.0), richardson_delta=delta)
 
 
-def bound_states(spectrum: NumericSpectrum, threshold: float = 0.0,
-                 edge_rtol: float = EDGE_DECAY_RTOL) -> NumericSpectrum:
-    """Keep eigenpairs with Re E below the continuum threshold and decaying tails.
-
-    The threshold is the x -> +infinity limit of the well, which is 0 for
-    every family here.
-    """
+def bound_states(spectrum: NumericSpectrum) -> NumericSpectrum:
+    """Keep the eigenpairs with Re E below CONTINUUM_EDGE and decaying tails:
+    both wall components of the eigenvector under EDGE_DECAY_RTOL of its peak."""
     if spectrum.eigenvectors is None:
         raise InvalidModelError("bound-state filtering needs eigenvectors")
     keep = []
     for j, e in enumerate(spectrum.eigenvalues):
-        if e.real >= threshold:
+        if e.real >= CONTINUUM_EDGE:
             continue
         v = spectrum.eigenvectors[:, j]
         peak = np.abs(v).max()
-        if max(abs(v[0]), abs(v[-1])) < edge_rtol * peak:
+        if max(abs(v[0]), abs(v[-1])) < EDGE_DECAY_RTOL * peak:
             keep.append(j)
     idx = np.array(keep, dtype=int)
     return replace(spectrum,
@@ -563,7 +556,7 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
         raise InvalidModelError("no admissible analytic levels to verify")
     admissible.sort(key=lambda r: (r.nq.l, r.nq.n))
     k = len(admissible) + VERIFY_EXTRA_LEVELS
-    num = converged_spectrum(model, grid, k, units, tol_abs, vectors=False)
+    num = converged_spectrum(model, grid, k, units, tol_abs)
     assignment = _greedy_pairs(admissible, num.eigenvalues)
     pairs = []
     matched_n = set()
@@ -634,7 +627,7 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
     def one(p1, p2):
         m = _with_component(_with_component(model, axis1, p1), axis2, p2)
         try:
-            eigs = bound_states(_states_below(build_hamiltonian(m, grid, units), 0.0)).eigenvalues
+            eigs = bound_states(_states_below(build_hamiltonian(m, grid, units))).eigenvalues
             status = "ok" if len(eigs) else "no_bound_state"
         except PoleOnDomainError:
             eigs, status = np.empty(0, complex), "pole_on_domain"

@@ -171,8 +171,8 @@ def test_criterion_08_reality_scan_golden(tmp_path):
     assert main(["scan", "--config", cfg, "--out", out2]) == 0
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
-    raw1 = open(out1, "rb").read()
-    assert raw1 == open(out2, "rb").read()  # byte-identical repeats
+    raw1 = Path(out1).read_bytes()
+    assert raw1 == Path(out2).read_bytes()  # byte-identical repeats
 
     # environment-stable projection (drop the max_im_E column) against the golden
     proj = []
@@ -219,7 +219,7 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path):
         a, b = str(tmp_path / "a.out"), str(tmp_path / "b.out")
         code = main([command, "--config", path, "--out", a])
         assert main([command, "--config", path, "--out", b]) == code
-        ra, rb = open(a, "rb").read(), open(b, "rb").read()
+        ra, rb = Path(a).read_bytes(), Path(b).read_bytes()
         assert ra == rb
         return code, ra
 

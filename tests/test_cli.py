@@ -1,5 +1,6 @@
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,8 +81,8 @@ def test_verify_match_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert main(["verify", "--config", cfg, "--out", out1]) == 0
     assert main(["verify", "--config", cfg, "--out", out2]) == 0
-    text1 = open(out1, "rb").read()
-    assert text1 == open(out2, "rb").read()
+    text1 = Path(out1).read_bytes()
+    assert text1 == Path(out2).read_bytes()
     text = text1.decode()
     assert "# verify report" in text
     assert "family = morse_general" in text
@@ -192,19 +193,16 @@ def test_scan_warns_unless_grid_sets_n_points(tmp_path, capsys):
         assert ("scanning on the default 4000-point grid" in err) is warned, grid
 
 
-def test_scan_warns_that_workers_is_ignored(tmp_path, capsys):
-    base = ("[model]\nfamily = poschl_teller\nv0 = 6+1i\nq = 1\n\n[grid]\nn_points = 257\n"
-            "\n[run]\nscan1_param = v0\nscan1_component = re\nscan1_start = 6\n"
-            "scan1_stop = 7\nscan1_count = 2\nscan2_param = q\nscan2_component = im\n"
-            "scan2_start = 0\nscan2_stop = 0.5\nscan2_count = 2\n")
-    outputs = []
-    for workers, warned in ((1, False), (2, True)):
-        cfg = write_cfg(tmp_path, base + f"workers = {workers}\n")
-        assert main(["scan", "--config", cfg]) == 0
-        captured = capsys.readouterr()
-        assert ("workers = 2 is ignored" in captured.err) is warned
-        outputs.append(captured.out)
-    assert outputs[0] == outputs[1]
+def test_scan_refuses_the_removed_workers_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6+1i\nq = 1\n"
+                              "\n[grid]\nn_points = 257\n"
+                              "\n[run]\nscan1_param = v0\nscan1_component = re\nscan1_start = 6\n"
+                              "scan1_stop = 7\nscan1_count = 2\nscan2_param = q\n"
+                              "scan2_component = im\nscan2_start = 0\nscan2_stop = 0.5\n"
+                              "scan2_count = 2\nworkers = 1\n")
+    assert main(["scan", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: [run]: unknown key 'workers'\n")
 
 
 def test_scan_requires_both_axes(tmp_path, capsys):
@@ -261,6 +259,18 @@ def test_wavefunction_unnormalized_flag(tmp_path, capsys):
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.ini")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["verify"], ["nope"], ["spectrum", "--mode", "nope"],
+                                  ["spectrum", "--config", "run.ini", "--mode", "nope"]])
+def test_usage_error_exits_1_with_usage_on_stderr(argv, capsys):
+    # argparse's own code for a usage error is 2, which means "did not converge" here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: susyhier") and "error: " in captured.err
 
 
 def test_help_lists_each_command_with_its_docstring(capsys):

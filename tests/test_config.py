@@ -59,7 +59,6 @@ l_max = 3
 n_max = 5
 tol_abs = 1e-4
 tol_imag = 1e-7
-workers = 4
 scan1_param = v0
 scan1_component = re
 scan1_start = 1.0
@@ -102,7 +101,7 @@ def test_parse_full_config():
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_points) == (-4.0, 4.0, 801)
     assert (cfg.units.hbar, cfg.units.mass, cfg.units.e_sq) == (1.0, 1.0, 2.0)
     assert cfg.mode is Mode.SELF_CONSISTENT
-    assert (cfg.l, cfg.l_max, cfg.n_max, cfg.workers) == (1, 3, 5, 4)
+    assert (cfg.l, cfg.l_max, cfg.n_max) == (1, 3, 5)
     assert (cfg.tol_abs, cfg.tol_imag) == (1e-4, 1e-7)
     assert cfg.scan1 is not None and cfg.scan2 is None
     assert (cfg.scan1.param, cfg.scan1.component) == ("v0", "re")
@@ -116,7 +115,7 @@ def test_parse_minimal_config_defaults():
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_points) == (-3.0, 30.0, 4000)
     assert (cfg.units.hbar, cfg.units.mass, cfg.units.e_sq) == (1.0, 0.5, 1.0)
     assert cfg.mode is Mode.PAPER_LITERAL
-    assert (cfg.l, cfg.l_max, cfg.n_max, cfg.workers) == (0, 0, 8, 1)
+    assert (cfg.l, cfg.l_max, cfg.n_max) == (0, 0, 8)
     assert (cfg.tol_abs, cfg.tol_imag) == (1e-3, 1e-6)
     assert cfg.scan1 is None and cfg.scan2 is None
     assert not cfg.grid_given
@@ -145,7 +144,7 @@ def test_readme_example_config_parses(tmp_path, capsys):
     assert cfg.model == MorseGeneral(25.0, 50.0, 1.0)
     assert (cfg.grid.x_min, cfg.grid.x_max, cfg.grid.n_points) == (-3.0, 30.0, 4000)
     assert (cfg.units.hbar, cfg.units.mass, cfg.units.e_sq) == (1.0, 0.5, 1.0)
-    assert (cfg.mode, cfg.n_max, cfg.tol_imag, cfg.workers) == (Mode.PAPER_LITERAL, 8, 1e-6, 1)
+    assert (cfg.mode, cfg.n_max, cfg.tol_imag) == (Mode.PAPER_LITERAL, 8, 1e-6)
     # the "[run]  # optional; defaults shown" block sets each [run] field that
     # has a default other than None, to that default
     run_block = example.split("\n[run]", 1)[1].split("\n\n", 1)[0]
@@ -268,7 +267,7 @@ def test_mode_tokens():
     MINIMAL + "\n[units]\nhbar = 1+2i\n",                      # imaginary in real slot
     MINIMAL + "\n[units]\nplanck = 1\n",                       # unknown key
     MINIMAL + "\n[run]\nl = -1\n",                             # negative level
-    MINIMAL + "\n[run]\nworkers = 0\n",
+    MINIMAL + "\n[run]\nworkers = 1\n",                        # removed key
     MINIMAL + "\n[run]\ntol_abs = 0\n",
     MINIMAL + "\n[run]\nscan1_param = v0\n",                   # incomplete scan axis
     MINIMAL + ("\n[run]\nscan1_param = alpha\nscan1_component = re\n"

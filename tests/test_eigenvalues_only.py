@@ -49,26 +49,45 @@ def test_eigen_spectrum_without_vectors_keeps_the_strict_sort():
         assert np.abs(ref - e).min() <= 1e-9 * max(1.0, abs(e))
 
 
-def test_converged_spectrum_without_vectors_hermitian_is_bitwise():
+def test_richardson_grids_without_vectors_hermitian_are_bitwise():
     model, grid = MorseGeneral(25.0, 50.0, 1.0), Grid(-3.0, 30.0, 1000)
-    a = converged_spectrum(model, grid, 5)
-    b = converged_spectrum(model, grid, 5, vectors=False)
-    assert b.eigenvectors is None and a.eigenvectors.shape == (1997, 5)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert a.richardson_delta == b.richardson_delta
-    assert a.converged == b.converged
+    levels = []
+    for g in (grid, grid.refined()):
+        ham = build_hamiltonian(model, g)
+        a = eigen_spectrum(ham, 5)
+        b = eigen_spectrum(ham, 5, vectors=False)
+        assert b.eigenvectors is None and a.eigenvectors.shape == (g.n_points - 2, 5)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        levels.append(a.eigenvalues)
+    spec = converged_spectrum(model, grid, 5)
+    assert spec.eigenvectors is None and spec.grid.n_points == 1999
+    delta = float(np.abs(levels[0] - levels[1]).max())
+    assert spec.richardson_delta == delta
+    assert spec.converged == (delta < 1e-3 / 2.0)
 
 
 @pytest.mark.parametrize("model, grid, k", [(PT1, PT1_GRID, 14), (PT2, PT2_GRID, 10)])
-def test_converged_spectrum_without_vectors_complex_agrees(model, grid, k):
+def test_fine_grid_without_vectors_complex_agrees(model, grid, k):
     coarse = eigen_spectrum(build_hamiltonian(model, grid), k).eigenvalues
     assert _tied_pairs(coarse), "the window must hold a tied conjugate pair"
-    a = converged_spectrum(model, grid, k)
-    b = converged_spectrum(model, grid, k, vectors=False)
-    assert b.eigenvectors is None and a.eigenvectors.shape[1] == k
-    scale = np.abs(a.eigenvalues).max()
-    assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-9 * scale
-    assert b.richardson_delta == pytest.approx(a.richardson_delta, rel=1e-9)
+    # the coarse grid is solved values-only in any case; on the fine grid a
+    # solve with vectors must give the levels that converged_spectrum combines
+    # (k of them from one level past k, tied conjugate pairs Im < 0 first)
+    fine = build_hamiltonian(model, grid.refined())
+    a = eigen_spectrum(fine, k + 1)
+    b = eigen_spectrum(fine, k + 1, vectors=False)
+    assert b.eigenvectors is None and a.eigenvectors.shape[1] == k + 1
+    a_fine = a.eigenvalues[verifier_mod._conjugates_first(a.eigenvalues)[:k]]
+    b_fine = b.eigenvalues[verifier_mod._conjugates_first(b.eigenvalues)[:k]]
+    coarse = verifier_mod._richardson_levels(build_hamiltonian(model, grid), k)
+    spec = converged_spectrum(model, grid, k)
+    assert spec.eigenvectors is None
+    assert np.array_equal(spec.eigenvalues, (4.0 * b_fine - coarse) / 3.0)
+    a_extrapolated = (4.0 * a_fine - coarse) / 3.0
+    scale = np.abs(a_extrapolated).max()
+    assert np.abs(a_extrapolated - spec.eigenvalues).max() <= 1e-9 * scale
+    assert spec.richardson_delta == pytest.approx(float(np.abs(coarse - a_fine).max()),
+                                                  rel=1e-9)
 
 
 def test_tied_conjugate_pairs_put_negative_imag_first():
@@ -76,7 +95,7 @@ def test_tied_conjugate_pairs_put_negative_imag_first():
                      0.5 - 1.0j, 0.5 + 1.0j, 2.0 + 1.0j])
     order = verifier_mod._conjugates_first(vals)
     assert list(order) == [1, 0, 2, 3, 4, 5]
-    spec = converged_spectrum(PT1, PT1_GRID, 14, vectors=False)
+    spec = converged_spectrum(PT1, PT1_GRID, 14)
     for i in _tied_pairs(spec.eigenvalues):
         assert spec.eigenvalues[i].imag < 0
 

@@ -50,12 +50,10 @@ def test_canonicalization_merges_sorts_drops():
     assert w.coefficient(1) == 5.0
     assert w.coefficient(2) == 0.0  # cancelled term is gone
     assert w.is_exponential
-    assert w.without_constant().constant == 0.0
-    assert w.without_constant().coefficient(1) == 5.0
 
 
 # ---------------------------------------------------------------------------
-# evaluation, derivative, antiderivative
+# evaluation and derivative
 # ---------------------------------------------------------------------------
 
 def test_evaluate_matches_manual_sum():
@@ -77,17 +75,6 @@ def test_derivative_matches_stencil(rate):
     exact = w.derivative(X)
     approx = stencil_derivative(w.evaluate, X)
     assert np.max(np.abs(exact - approx)) < 1e-7
-
-
-@pytest.mark.parametrize("rate", [1.0, 0.9 - 0.5j])
-def test_antiderivative_differentiates_back(rate):
-    w = SuperpotentialExpr(
-        rate,
-        (ExpTerm(1.5, 0), ExpTerm(-2.0 + 1.0j, 1), ExpTerm(0.4, 2)),
-        (RationalTerm(0.8, 0.5 - 0.1j, 2), RationalTerm(0.6, 0.0, 2)),  # q = 0 branch too
-    )
-    recovered = stencil_derivative(w.antiderivative, X)
-    assert np.max(np.abs(recovered - w.evaluate(X))) < 1e-7
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyhier import (
     DEFAULT_UNITS,
@@ -22,11 +23,10 @@ from susyhier import (
     ladder,
     partner_potential,
     riccati_residual,
-    selfconsistent_for_model,
     solve_selfconsistent_morse,
     superpotential,
 )
-from susyhier.expressions import RationalPartner
+from susyhier.expressions import RationalPartner, riccati_apply
 
 GRID = Grid(-3.0, 30.0, 800)
 OSC_GRID = Grid(-5.0, 5.0, 301)  # for complexified rates, where e^{-i k x} stays bounded
@@ -74,6 +74,33 @@ def test_solve_selfconsistent_roundtrip():
         assert abs(lhs - (v - e0)) <= 1e-10 * (1.0 + abs(v))
 
 
+# complex numbers with parts in [-10, 10] and modulus at least 1e-2, so that
+# b = sqrt(c2) and the rate stay away from 0
+_NONZERO = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(
+    lambda z: abs(z) >= 1e-2)
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(c2=_NONZERO, c1=st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       rate=_NONZERO, l=st.integers(0, 5))
+def test_selfconsistent_riccati_identity(c2, c1, rate, l):
+    """W_l^2 - W_l' expands to the partner plus -E0_l, to roundoff."""
+    sol = solve_selfconsistent_morse(c2, c1, rate)
+    expr, constant = riccati_apply(sol.superpotential(l, DEFAULT_UNITS))
+    partner = sol.partner(l, DEFAULT_UNITS)
+    b, a_l = abs(sol.b), abs(sol.a_level(l))
+    assert {t.k for t in expr.exp_terms} <= {1, 2}
+    assert abs(expr.coefficient(2) - partner.coefficient(2)) <= 16 * _EPS * b * b
+    assert (abs(expr.coefficient(1) - partner.coefficient(1))
+            <= 16 * _EPS * b * (2.0 * a_l + abs(rate)))
+    assert abs(constant + sol.level(0, l, DEFAULT_UNITS)[0]) <= 16 * _EPS * a_l * a_l
+    if l == 0:
+        # the partner at l = 0 is the well itself
+        assert abs(partner.coefficient(2) - c2) <= 16 * _EPS * abs(c2)
+        assert abs(partner.coefficient(1) - c1) <= 16 * _EPS * (abs(c1) + b * abs(rate))
+
+
 def test_partner_level_coefficients():
     sol = solve_selfconsistent_morse(25.0, -50.0, 1.0)
     for l in (0, 2):
@@ -83,10 +110,10 @@ def test_partner_level_coefficients():
         assert p.constant == 0.0
 
 
-def test_selfconsistent_for_model_matches_direct_solve():
-    sol = selfconsistent_for_model(MorseGeneral(25.0, 50.0, 1.0))
+def test_selfconsistent_ladder_matches_direct_solve():
+    sol = ladder(MorseGeneral(25.0, 50.0, 1.0), Mode.SELF_CONSISTENT)
     assert (sol.b, sol.a, sol.rate) == (5.0 + 0j, 4.5 + 0j, 1.0 + 0j)
-    sol = selfconsistent_for_model(MorseNonPT(9.0, 2.0))
+    sol = ladder(MorseNonPT(9.0, 2.0), Mode.SELF_CONSISTENT)
     # c2 = -9, c1 = -18i: b = 3i, a = -(-18i)/(6i) - 1/2 = 2.5
     assert sol.b == pytest.approx(3.0j)
     assert sol.a == pytest.approx(2.5)
@@ -95,7 +122,7 @@ def test_selfconsistent_for_model_matches_direct_solve():
 def test_ladder_picks_the_mode():
     model = MorseGeneral(25.0, 50.0, 1.0)
     assert ladder(model, Mode.PAPER_LITERAL) is model
-    assert ladder(model, Mode.SELF_CONSISTENT) == selfconsistent_for_model(model)
+    assert ladder(model, Mode.SELF_CONSISTENT) == solve_selfconsistent_morse(25.0, -50.0, 1.0)
     with pytest.raises(UnsupportedFamilyError):
         ladder(PoschlTeller(6.0, 1.0, 1.0), Mode.SELF_CONSISTENT)
 

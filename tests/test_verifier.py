@@ -1,9 +1,11 @@
 import math
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -139,7 +141,11 @@ def test_converged_spectrum_flags_coarse_grid():
 # ---------------------------------------------------------------------------
 
 def test_bound_states_filter():
+    # converged_spectrum computes no eigenvectors: take the fine grid's, from a
+    # real-well solve whose values equal the values-only solve's bit for bit
     spec = converged_spectrum(MORSE, MORSE_GRID, 10)
+    fine = eigen_spectrum(build_hamiltonian(MORSE, spec.grid), 10)
+    spec = replace(spec, eigenvectors=fine.eigenvectors)
     bound = bound_states(spec)
     assert len(bound.eigenvalues) == 5  # the well holds exactly five levels
     assert np.allclose(bound.eigenvalues.real, MORSE_LEVELS, atol=1e-6)
@@ -194,6 +200,60 @@ def test_verify_is_order_independent():
     assert again.verdict is base.verdict
     assert [(p.record.nq.n, p.numeric) for p in again.pairs] \
         == [(p.record.nq.n, p.numeric) for p in base.pairs]
+
+
+# levels on a coarse lattice, where exact distance ties and duplicate values
+# are common, and levels anywhere in a box
+_LATTICE_LEVELS = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+_BOX_LEVELS = st.builds(complex, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+_LEVELS = st.one_of(_LATTICE_LEVELS, _BOX_LEVELS)
+
+
+def _record(n, l, energy):
+    return EnergyRecord(QuantumNumbers(n, l), complex(energy), SpectrumFormula.SELF_CONSISTENT,
+                        True)
+
+
+def _pairs(records, numeric):
+    """The (record, numeric value) pairs of verify's pairing, as a multiset."""
+    assignment = verifier_mod._greedy_pairs(records, numeric)
+    return Counter((records[i], complex(numeric[j])) for i, j in assignment.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(st.builds(_record, st.integers(0, 2), st.integers(0, 1), _LEVELS),
+                        max_size=6),
+       numeric=st.lists(_LEVELS, max_size=8), data=st.data())
+def test_pairing_ignores_the_order_of_levels_and_records(records, numeric, data):
+    numeric = np.array(numeric, dtype=complex)
+    pairs = _pairs(records, numeric)
+    assert sum(pairs.values()) == min(len(records), len(numeric))
+    shuffled_records = data.draw(st.permutations(records))
+    order = np.array(data.draw(st.permutations(range(len(numeric)))), dtype=int)
+    assert _pairs(shuffled_records, numeric[order]) == pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(energies=st.lists(_BOX_LEVELS, max_size=6), numeric=st.lists(_BOX_LEVELS, max_size=8))
+def test_pairing_conjugates_with_the_levels(energies, numeric):
+    # in general position every candidate distance differs, and |r - e| is
+    # exactly |r* - e*|, so the greedy order and the assignment are the same
+    distances = [abs(r - e) for r in energies for e in numeric]
+    assume(len(set(distances)) == len(distances))
+    records = [_record(n, 0, e) for n, e in enumerate(energies)]
+    conjugated = [replace(r, energy=r.energy.conjugate()) for r in records]
+    numeric = np.array(numeric, dtype=complex)
+    assert (verifier_mod._greedy_pairs(conjugated, numeric.conj())
+            == verifier_mod._greedy_pairs(records, numeric))
+
+
+def test_pairing_tie_break_is_not_conjugation_equivariant():
+    # at an exact tie the level with the smaller Im E wins: a record at 0 takes
+    # -i from (i, -i), and after the levels are conjugated to (-i, i) it takes
+    # -i again, not the conjugate of its first partner
+    records = [_record(0, 0, 0.0)]
+    assert verifier_mod._greedy_pairs(records, np.array([1j, -1j])) == {0: 1}
+    assert verifier_mod._greedy_pairs(records, np.array([-1j, 1j])) == {0: 0}
 
 
 def test_verify_mismatch_for_wrong_levels():
@@ -293,7 +353,7 @@ def test_reality_scan_lattice_order_and_pole_status():
 
 def assert_targeted_matches_dense(model, grid):
     ham = build_hamiltonian(model, grid)
-    targeted = bound_states(verifier_mod._states_below(ham, 0.0))
+    targeted = bound_states(verifier_mod._states_below(ham))
     dense = bound_states(eigen_spectrum(ham, ham.dimension))
     assert len(targeted.eigenvalues) == len(dense.eigenvalues)
     if len(dense.eigenvalues) == 0:
@@ -356,7 +416,7 @@ def test_targeted_solve_falls_back_when_arpack_fails(monkeypatch):
 def test_targeted_solve_empty_when_well_is_above_threshold():
     ham = build_hamiltonian(PoschlTeller(-6.0 + 1.0j, 1.0 + 0.2j), SCAN_GRID)
     assert np.all((ham.diagonal + 2.0 * ham.off_diagonal).real >= 0.0)
-    spec = verifier_mod._states_below(ham, 0.0)
+    spec = verifier_mod._states_below(ham)
     assert spec.eigenvalues.shape == (0,)
     assert spec.eigenvectors.shape == (ham.dimension, 0)
 
@@ -432,13 +492,13 @@ def test_targeted_solve_without_margin_grows_k_and_stays_exact(monkeypatch):
     grid = SCAN_LATTICE.grid
     models = [m for m in scan_lattice_models()
               if not build_hamiltonian(m, grid).is_real]
-    sized = [verifier_mod._states_below(build_hamiltonian(m, grid), 0.0) for m in models]
+    sized = [verifier_mod._states_below(build_hamiltonian(m, grid)) for m in models]
     ks = recording_eigs(monkeypatch)
     monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", 0)
     grown = []
     for model, reference in zip(models, sized):
         ks.clear()
-        spec = verifier_mod._states_below(build_hamiltonian(model, grid), 0.0)
+        spec = verifier_mod._states_below(build_hamiltonian(model, grid))
         assert len(spec.eigenvalues) == len(reference.eigenvalues)
         scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
         assert np.allclose(spec.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-10 * scale)
@@ -536,7 +596,7 @@ def test_thread_cap_restored_when_arpack_raises(monkeypatch):
     monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     spec = verifier_mod._states_below(build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j),
-                                                        SCAN_GRID), 0.0)
+                                                        SCAN_GRID))
     assert len(spec.eigenvalues) > 0  # from the dense fallback
     assert calls == [1, 2]
 
