@@ -1,9 +1,11 @@
 """Closed-form spectra for exponential and rational wells via superpotential
 hierarchies, plus a finite-difference verifier and a small CLI.
 
-The finite-difference verifier loads on first use (PEP 562), so `import
-susyhier` and the closed-form commands never import it; it imports scipy
-only to solve a complex-valued well, so real wells run without scipy.
+The closed-form modules import numpy inside the functions that build or
+evaluate arrays, and the finite-difference verifier loads on first use
+(PEP 562), so `import susyhier` and the closed-form commands load neither
+numpy nor the verifier; the verifier imports scipy only to solve a
+complex-valued well, so real wells run without scipy.
 """
 import importlib
 

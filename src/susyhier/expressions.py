@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
 from .errors import InvalidModelError
 
 
@@ -81,9 +79,11 @@ class SuperpotentialExpr:
     # -- evaluation --------------------------------------------------------
 
     def _u(self, x, power):
+        import numpy as np
         return np.exp(-power * self.rate * np.asarray(x, dtype=float))
 
     def evaluate(self, x):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for t in self.exp_terms:
@@ -96,6 +96,7 @@ class SuperpotentialExpr:
 
     def derivative(self, x):
         """Exact dW/dx from the term structure."""
+        import numpy as np
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for t in self.exp_terms:

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GridTooCoarseError, InvalidModelError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_POINTS = 16
 
@@ -32,6 +34,7 @@ class Grid:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
     def refined(self) -> "Grid":
@@ -48,6 +51,7 @@ def symmetric_grid(half_width: float, n_points: int) -> Grid:
 
 def symmetric_points(grid: Grid) -> np.ndarray:
     """Samples of a symmetric grid, built index-wise so x[i] == -x[n-1-i] exactly."""
+    import numpy as np
     n = grid.n_points
     if abs(grid.x_min + grid.x_max) > 1e-12 * abs(grid.x_max - grid.x_min):
         raise InvalidModelError("grid is not symmetric about 0")
@@ -74,4 +78,5 @@ class ScanAxis:
             raise InvalidModelError("scan count must be >= 1")
 
     def values(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(self.start, self.stop, self.count)

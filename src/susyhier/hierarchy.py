@@ -2,7 +2,8 @@
 
 Two modes exist side by side and are never mixed.  Each mode is one ladder
 object, answering `formula`, `level(n, l, units)`, `superpotential(l, units)`
-and `partner(l, units)`; `ladder(model, mode)` is the one place that picks it:
+and `partner(l, units)`; `ladder(model, mode, units)` is the one place that
+picks it:
 
 * literal mode is the family's model instance itself: its published ansatz
   and partner exactly as printed, and the residual of the factorization
@@ -15,11 +16,10 @@ and `partner(l, units)`; `ladder(model, mode)` is the one place that picks it:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
-
-import numpy as np
 
 from .errors import DegenerateQuadraticError, InvalidModelError
 from .expressions import (DerivativeScale, RationalPartner, SuperpotentialExpr, exp_sum,
@@ -58,17 +58,27 @@ def partner_potential(model: Ladder, l: int, units: UnitSystem = DEFAULT_UNITS
 # self-consistent solution
 # ---------------------------------------------------------------------------
 
+def _scaled(z: complex, s: float) -> complex:
+    """z times the positive real s, part by part, so s = 1 returns z bit for bit."""
+    return complex(z.real * s, z.imag * s)
+
+
 @dataclass(frozen=True)
 class SelfConsistentSolution:
-    """Superpotential -b e^{-r x} + a matched to c2 e^{-2 r x} + c1 e^{-r x}.
+    """Superpotential -b e^{-r x} + a matched to (c2 e^{-2 r x} + c1 e^{-r x}) / kinetic.
 
-    It answers like a family class.  `units` is accepted and unused: the
-    matching takes hbar^2 / 2m = 1.
+    With kinetic = hbar^2 / 2m, H = -kinetic d^2/dx^2 + V is kinetic times the
+    unit-kinetic Hamiltonian of V / kinetic, which the match solves; so the
+    levels and partners are scaled by kinetic and W by sqrt(kinetic), and
+    H_l - E0_l = A^+ A with A = sqrt(kinetic) d/dx + W_l.  It answers like a
+    family class for the units `ladder` matched it at; the `units` argument of
+    its methods is unused.
     """
 
     b: complex
     a: complex
     rate: complex
+    kinetic: float = 1.0
 
     formula = SpectrumFormula.SELF_CONSISTENT
 
@@ -77,29 +87,33 @@ class SelfConsistentSolution:
         return self.a - l * self.rate
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
-        """E = -(a - (n + l) rate)^2, a bound state while its shift keeps Re > 0."""
+        """E = -kinetic (a - (n + l) rate)^2, a bound state while its shift keeps Re > 0."""
         a = self.a_level(n + l)
-        return -a * a, a.real > 0.0
+        return _scaled(-a * a, self.kinetic), a.real > 0.0
 
     def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
-        return exp_sum(self.rate, (-self.b, 1), (self.a_level(l), 0))
+        root = math.sqrt(self.kinetic)
+        return exp_sum(self.rate, (_scaled(-self.b, root), 1), (_scaled(self.a_level(l), root), 0))
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
-        """W_l^2 - W_l' + E0_l expanded in closed form (constants cancel)."""
+        """W_l^2 - sqrt(kinetic) W_l' + E0_l expanded in closed form (constants cancel)."""
         a_l = self.a_level(l)
         return exp_sum(self.rate,
-                       (self.b * self.b, 2), (-self.b * (2.0 * a_l + self.rate), 1))
+                       (_scaled(self.b * self.b, self.kinetic), 2),
+                       (_scaled(-self.b * (2.0 * a_l + self.rate), self.kinetic), 1))
 
 
-def solve_selfconsistent_morse(c2: complex, c1: complex,
-                               rate: complex = 1.0) -> SelfConsistentSolution:
-    """Match -b e^{-r x} + a to the well c2 e^{-2 r x} + c1 e^{-r x}.
+def solve_selfconsistent_morse(c2: complex, c1: complex, rate: complex = 1.0,
+                               kinetic: float = 1.0) -> SelfConsistentSolution:
+    """Match -b e^{-r x} + a to the well (c2 e^{-2 r x} + c1 e^{-r x}) / kinetic.
 
-    From W^2 - W' = V - E0: b = sqrt(c2) (principal branch),
-    a = -c1/(2b) - r/2, E0 = -a^2.
+    From W^2 - W' = V / kinetic - E0 / kinetic: b = sqrt(c2 / kinetic)
+    (principal branch), a = -c1 / (2 kinetic b) - r/2, E0 = -kinetic a^2.
     """
-    c2 = complex(c2)
-    c1 = complex(c1)
+    if not kinetic > 0.0:
+        raise InvalidModelError(f"kinetic must be > 0, got {kinetic!r}")
+    c2 = _scaled(complex(c2), 1.0 / kinetic)
+    c1 = _scaled(complex(c1), 1.0 / kinetic)
     rate = complex(rate)
     if rate == 0:
         raise InvalidModelError("rate must be nonzero")
@@ -107,17 +121,19 @@ def solve_selfconsistent_morse(c2: complex, c1: complex,
         raise DegenerateQuadraticError("leading coefficient c2 vanishes; no exponential ansatz")
     b = cmath.sqrt(c2)
     a = -c1 / (2.0 * b) - rate / 2.0
-    return SelfConsistentSolution(b=b, a=a, rate=rate)
+    return SelfConsistentSolution(b=b, a=a, rate=rate, kinetic=kinetic)
 
 
 Ladder = Union[PotentialModel, SelfConsistentSolution]
 
 
-def ladder(model: PotentialModel, mode: Mode) -> Ladder:
-    """The object whose levels, superpotentials and partners make up the mode's hierarchy;
-    self-consistent mode needs a two-term exponential well (else UnsupportedFamilyError)."""
+def ladder(model: PotentialModel, mode: Mode, units: UnitSystem = DEFAULT_UNITS) -> Ladder:
+    """The object whose levels, superpotentials and partners make up the mode's hierarchy
+    in these units; self-consistent mode needs a two-term exponential well (else
+    UnsupportedFamilyError)."""
     if mode is Mode.SELF_CONSISTENT:
-        return solve_selfconsistent_morse(*model.exponential_coefficients())
+        return solve_selfconsistent_morse(*model.exponential_coefficients(),
+                                          kinetic=units.kinetic)
     return model
 
 
@@ -140,16 +156,19 @@ def riccati_residual(model: PotentialModel, l: int, grid: Grid,
                      scale: DerivativeScale = DerivativeScale.UNIT,
                      e0: Optional[complex] = None,
                      units: UnitSystem = DEFAULT_UNITS) -> RiccatiResidualReport:
-    """max over the grid of |W^2 - s W' - (V_partner - E0)|, all analytic.
+    """max over the grid of |W^2 - s sqrt(kinetic) W' - (V_partner - E0)|, all analytic.
 
+    kinetic = hbar^2 / 2m, so the identity is H_l - E0 = A^+ A with
+    A = sqrt(kinetic) d/dx + W for H_l = -kinetic d^2/dx^2 + V_partner.
     e0 defaults to the mode's own ground energy at depth l.
     """
-    lad = ladder(model, mode)
+    import numpy as np
+    lad = ladder(model, mode, units)
     w = superpotential(lad, l, units)
     v = partner_potential(lad, l, units)
     if e0 is None:
         e0 = complex(lad.level(0, l, units)[0])
-    s = scale_value(scale, w.rate)
+    s = _scaled(scale_value(scale, w.rate), math.sqrt(units.kinetic))
     x = grid.points()
     wx = w.evaluate(x)
     resid = wx * wx - s * w.derivative(x) - (v.evaluate(x) - e0)
@@ -171,7 +190,7 @@ def hierarchy(model: PotentialModel, l_max: int, mode: Mode = Mode.SELF_CONSISTE
     """Partner potentials and ground energies for l = 0..l_max, in order."""
     if l_max < 0:
         raise InvalidModelError("l_max must be nonnegative")
-    lad = ladder(model, mode)
+    lad = ladder(model, mode, units)
     return [HierarchyLevel(l, partner_potential(lad, l, units),
                            complex(lad.level(0, l, units)[0]))
             for l in range(l_max + 1)]

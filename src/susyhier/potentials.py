@@ -17,14 +17,15 @@ import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Optional, Union, get_args
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union, get_args
 
 from .errors import InvalidModelError, PoleOnDomainError, ZeroOmegaError, UnsupportedFamilyError
 from .expressions import ExpTerm, RationalPartner, RationalTerm, SuperpotentialExpr, exp_sum
 from .grids import Grid, symmetric_points
 from .units import UnitSystem, DEFAULT_UNITS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Relative tolerance used to declare a rational denominator "on a pole".
 POLE_RTOL = 1e-12
@@ -124,6 +125,7 @@ class MorseGeneral(_Family):
         return -3.0 / self.alpha, 30.0 / self.alpha
 
     def evaluate(self, x):
+        import numpy as np
         u = np.exp(-self.alpha * np.asarray(x, dtype=float))
         return self.v1 * u * u - self.v2 * u
 
@@ -156,6 +158,7 @@ class MorseGeneral(_Family):
                        (lam * lam, 2), (-lam * lam * q + 2 * l * lam, 1))
 
     def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
+        import numpy as np
         lam, q = self._lam_q(units)
         a = self.alpha
         # psi = exp[-(lam/alpha) e^{-alpha x} - (lam q - (2l+1)/2) x]
@@ -183,6 +186,7 @@ class MorseNonPT(_MorseComplex):
     window = (-3.0, 30.0)
 
     def evaluate(self, x):
+        import numpy as np
         u = np.exp(-np.asarray(x, dtype=float))
         return -self.d * (u * u + 1j * self.p * u)
 
@@ -202,6 +206,7 @@ class MorseNonPT(_MorseComplex):
                        (-lam * lam, 2), (-2j * lam * lam + 2j * l * lam, 1))
 
     def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
+        import numpy as np
         lam = self.lam(units)
         # psi = exp[-i lam e^{-x} - (lam - (2l+1)/2) x]
         return np.exp(-1j * lam * np.exp(-x) - (lam - (2 * l + 1) / 2.0) * x)
@@ -218,6 +223,7 @@ class MorsePT1(_MorseComplex):
     window = (-20.0, 20.0)
 
     def evaluate(self, x):
+        import numpy as np
         u = np.exp(-1j * np.asarray(x, dtype=float))
         return self.v1 * u * u - self.v2 * u
 
@@ -241,6 +247,7 @@ class MorsePT1(_MorseComplex):
         return exp_sum(1j, (lam * lam, 2), (-lam * lam + 2 * l * lam, 1))
 
     def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
+        import numpy as np
         lam = self.lam(units)
         # exp(-int W) for W = -lam e^{-ix} + (lam - (2l+1)/2)
         return np.exp(1j * lam * np.exp(-1j * x) - (lam - (2 * l + 1) / 2.0) * x)
@@ -267,6 +274,7 @@ class MorsePT2(_Family):
         return -20.0 / self.alpha, 20.0 / self.alpha
 
     def evaluate(self, x):
+        import numpy as np
         u = np.exp(-1j * self.alpha * np.asarray(x, dtype=float))
         return -(self.omega**2) * u * u - self.d * u
 
@@ -286,6 +294,7 @@ class MorsePT2(_Family):
         return exp_sum(1j * self.alpha, (1.0, 2), (-2.0 * c, 1))
 
     def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
+        import numpy as np
         a = self.alpha
         c = 2 * l + 1 + self.d / (2.0 * self.omega)
         # exp(-int W) for W = -e^{-i alpha x} + c
@@ -325,6 +334,7 @@ class _Rational(_Family):
         return RationalPartner(kernel=self._kernel(), lin=lin, sq=sq)
 
     def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
+        import numpy as np
         c = (units.mass * units.e_sq / units.hbar**2) * _pt_bracket(0, l, units.beta)
         return self._base(x) ** (l + 1) * np.exp(-c * x)
 
@@ -340,6 +350,7 @@ class PoschlTeller(_Rational):
     token = "poschl_teller"
 
     def evaluate(self, x):
+        import numpy as np
         u = np.exp(-2.0 * self.alpha * np.asarray(x, dtype=float))
         denom = 1.0 + self.q * u
         _check_denominator(denom, self.q)
@@ -368,6 +379,7 @@ class PoschlTeller(_Rational):
         return SuperpotentialExpr(complex(self.alpha), (), (RationalTerm(1.0, self.q, power=2),))
 
     def _base(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         if self._imag_form:
             return 1.0 + self.q.imag**2 * np.exp(-4.0 * self.alpha * x)
         return 1.0 + self.q * np.exp(-2.0 * self.alpha * x)
@@ -387,6 +399,7 @@ class PoschlTellerPT(_Rational):
     token = "poschl_teller_pt"
 
     def evaluate(self, x):
+        import numpy as np
         u = np.exp(-2j * self.alpha * np.asarray(x, dtype=float))
         denom = 1.0 + self.q * u
         _check_denominator(denom, self.q)
@@ -407,6 +420,7 @@ class PoschlTellerPT(_Rational):
         return SuperpotentialExpr(1j * self.alpha, (), (term,))
 
     def _base(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         return 1.0 + self.q**2 * np.exp(-4j * self.alpha * x)
 
 
@@ -417,6 +431,7 @@ FAMILIES = {cls.token: cls for cls in get_args(PotentialModel)}
 
 
 def _check_denominator(denom, q) -> None:
+    import numpy as np
     tol = POLE_RTOL * (1.0 + abs(q))
     mag = np.abs(np.asarray(denom))
     if np.any(mag < tol):
@@ -515,6 +530,7 @@ def eval_potential(model: PotentialModel, x):
 
 def pt_reflect(model: PotentialModel, x):
     """The PT image conj(V(-x)), evaluated operationally."""
+    import numpy as np
     return np.conjugate(eval_potential(model, -np.asarray(x, dtype=float)))
 
 
@@ -530,6 +546,7 @@ def classify_symmetry(model: PotentialModel, grid: Grid, tol: float = 1e-10) -> 
     Hermitian (max |Im V| < tol) takes precedence over PT-symmetric
     (max |V(x) - conj(V(-x))| < tol).
     """
+    import numpy as np
     x = symmetric_points(grid)
     v = np.asarray(eval_potential(model, x), dtype=complex)
     if np.max(np.abs(v.imag)) < tol:
@@ -558,6 +575,7 @@ def poschl_teller_imag_form(v0_im: float, q_im: float, alpha: float, x):
         V(x) = -4 v0_im [2 q_im u^2 + i u (1 - q_im^2 u^2)] / (1 + q_im^2 u^2)^2,
         u = e^{-2 alpha x}.
     """
+    import numpy as np
     u = np.exp(-2.0 * alpha * np.asarray(x, dtype=float))
     denom = 1.0 + q_im**2 * u * u
     num = 2.0 * q_im * u * u + 1j * u * (1.0 - q_im**2 * u * u)

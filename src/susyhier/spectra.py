@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidModelError, NotNormalizableError
 from .grids import Grid
 from .hierarchy import Ladder, Mode, ladder
 from .potentials import PotentialModel, SpectrumFormula, ensure_no_pole
 from .units import UnitSystem, DEFAULT_UNITS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def spectrum_records(model: PotentialModel, n_max: int, l_max: int,
                      units: UnitSystem = DEFAULT_UNITS,
                      mode: Mode = Mode.PAPER_LITERAL) -> list[EnergyRecord]:
     """Records of the mode's ladder for l = 0..l_max, n = 0..n_max, ordered by (l, n)."""
-    lad = ladder(model, mode)
+    lad = ladder(model, mode, units)
     return [energy_record(lad, n, l, units)
             for l in range(l_max + 1) for n in range(n_max + 1)]
 
@@ -78,6 +80,7 @@ def groundstate_wavefunction(model: PotentialModel, l: int, grid: Grid,
     of |psi|^2 over the grid; complex-valued instances are returned raw with
     norm_constant = 1.
     """
+    import numpy as np
     if not energy_record(model, 0, l, units).admissible:
         raise NotNormalizableError(f"level (n=0, l={l}) fails the bound-state condition")
     ensure_no_pole(model, grid.x_min, grid.x_max)

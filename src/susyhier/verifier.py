@@ -550,14 +550,23 @@ def _greedy_pairs(records: Sequence[EnergyRecord], numeric: np.ndarray):
 
 def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
            tol_abs: float = 1e-3, units: UnitSystem = DEFAULT_UNITS) -> ComparisonReport:
-    """Match admissible closed-form levels against the certified FD spectrum."""
+    """Match admissible closed-form levels against the certified FD spectrum.
+
+    Each hierarchy depth l is paired on its own: H_l has V's levels from
+    index l upward, so the depths share FD levels rather than compete for
+    them, and a numeric level is unmatched only if no depth took it.
+    """
     admissible = [r for r in analytic if r.admissible]
     if not admissible:
         raise InvalidModelError("no admissible analytic levels to verify")
     admissible.sort(key=lambda r: (r.nq.l, r.nq.n))
     k = len(admissible) + VERIFY_EXTRA_LEVELS
     num = converged_spectrum(model, grid, k, units, tol_abs)
-    assignment = _greedy_pairs(admissible, num.eigenvalues)
+    assignment = {}
+    for l in {r.nq.l for r in admissible}:
+        depth = [i for i, r in enumerate(admissible) if r.nq.l == l]
+        found = _greedy_pairs([admissible[i] for i in depth], num.eigenvalues)
+        assignment.update((depth[i], j) for i, j in found.items())
     pairs = []
     matched_n = set()
     unmatched_a = []

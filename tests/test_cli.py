@@ -118,6 +118,38 @@ def test_verify_mismatch_exit_code(tmp_path, capsys):
 
 
 
+def test_verify_pairs_each_hierarchy_depth_on_its_own(tmp_path, capsys):
+    # the depth-1 levels -12.25, -6.25, -2.25 are V's levels from index 1 up;
+    # paired together with depth 0 they lost -12.25 and -6.25 to it
+    cfg = write_cfg(tmp_path, "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n"
+                              "\n[run]\nmode = self_consistent\nn_max = 2\nl_max = 1\n")
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "verdict = match" in out
+    rows = [ln.split(",") for ln in out.splitlines() if ln and ln[0].isdigit()]
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        ("0", "0", "-20.25"), ("1", "0", "-12.25"), ("2", "0", "-6.25"),
+        ("0", "1", "-12.25"), ("1", "1", "-6.25"), ("2", "1", "-2.25")]
+    assert all(float(r[6]) < 1e-6 for r in rows)
+    # each depth took the levels it shares with the other, so neither is unmatched
+    unmatched = [float(ln.split()[-1].split("+")[0]) for ln in out.splitlines()
+                 if ln.startswith("# unmatched numeric")]
+    assert all(e > -1.0 for e in unmatched)
+
+
+def test_verify_self_consistent_levels_follow_units(tmp_path, capsys):
+    # with mass = 1, hbar^2 / 2m = 0.5: the levels of V / 0.5, scaled by 0.5
+    cfg = write_cfg(tmp_path, MORSE_VERIFY.replace("n_points = 4000", "n_points = 8000")
+                    .replace("n_max = 4", "n_max = 3") + "\n[units]\nmass = 1\n")
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "verdict = match" in out
+    assert "converged = true" in out
+    rows = [ln.split(",") for ln in out.splitlines() if ln and ln[0].isdigit()]
+    assert [float(r[2]) for r in rows] == pytest.approx(
+        [-21.5895, -15.5184, -10.4473, -6.3763], abs=1e-4)
+
+
 class ClosedPipe(io.StringIO):
     """A stdout whose reader has gone, as when the output is piped into head."""
 

@@ -26,7 +26,7 @@ from susyhier import (
     solve_selfconsistent_morse,
     superpotential,
 )
-from susyhier.expressions import RationalPartner, riccati_apply
+from susyhier.expressions import RationalPartner, exp_sum, riccati_apply
 
 GRID = Grid(-3.0, 30.0, 800)
 OSC_GRID = Grid(-5.0, 5.0, 301)  # for complexified rates, where e^{-i k x} stays bounded
@@ -81,24 +81,34 @@ _NONZERO = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).fi
 _EPS = np.finfo(float).eps
 
 
+# default units, and hbar^2 / 2m from 1/256 to 64
+_UNITS = st.just(DEFAULT_UNITS) | st.builds(UnitSystem, st.floats(0.25, 4.0),
+                                            st.floats(0.125, 8.0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(c2=_NONZERO, c1=st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-       rate=_NONZERO, l=st.integers(0, 5))
-def test_selfconsistent_riccati_identity(c2, c1, rate, l):
-    """W_l^2 - W_l' expands to the partner plus -E0_l, to roundoff."""
-    sol = solve_selfconsistent_morse(c2, c1, rate)
-    expr, constant = riccati_apply(sol.superpotential(l, DEFAULT_UNITS))
-    partner = sol.partner(l, DEFAULT_UNITS)
+       rate=_NONZERO, l=st.integers(0, 5), units=_UNITS)
+def test_selfconsistent_riccati_identity(c2, c1, rate, l, units):
+    """W_l^2 - sqrt(k) W_l' expands to the partner plus -E0_l, to roundoff, k = hbar^2/2m."""
+    k = units.kinetic
+    sol = solve_selfconsistent_morse(c2, c1, rate, k)
+    w = sol.superpotential(l, units)
+    # riccati_apply expands U^2 - U' for U = W / sqrt(k), which is (W^2 - sqrt(k) W') / k
+    expr, constant = riccati_apply(exp_sum(w.rate, *((t.coeff / math.sqrt(k), t.k)
+                                                     for t in w.exp_terms)))
+    partner = sol.partner(l, units)
     b, a_l = abs(sol.b), abs(sol.a_level(l))
     assert {t.k for t in expr.exp_terms} <= {1, 2}
-    assert abs(expr.coefficient(2) - partner.coefficient(2)) <= 16 * _EPS * b * b
-    assert (abs(expr.coefficient(1) - partner.coefficient(1))
-            <= 16 * _EPS * b * (2.0 * a_l + abs(rate)))
-    assert abs(constant + sol.level(0, l, DEFAULT_UNITS)[0]) <= 16 * _EPS * a_l * a_l
+    assert abs(k * expr.coefficient(2) - partner.coefficient(2)) <= 16 * _EPS * k * b * b
+    assert (abs(k * expr.coefficient(1) - partner.coefficient(1))
+            <= 16 * _EPS * k * b * (2.0 * a_l + abs(rate)))
+    assert abs(k * constant + sol.level(0, l, units)[0]) <= 16 * _EPS * k * a_l * a_l
     if l == 0:
         # the partner at l = 0 is the well itself
         assert abs(partner.coefficient(2) - c2) <= 16 * _EPS * abs(c2)
-        assert abs(partner.coefficient(1) - c1) <= 16 * _EPS * (abs(c1) + b * abs(rate))
+        assert (abs(partner.coefficient(1) - c1)
+                <= 16 * _EPS * (abs(c1) + k * b * abs(rate)))
 
 
 def test_partner_level_coefficients():
@@ -117,6 +127,17 @@ def test_selfconsistent_ladder_matches_direct_solve():
     # c2 = -9, c1 = -18i: b = 3i, a = -(-18i)/(6i) - 1/2 = 2.5
     assert sol.b == pytest.approx(3.0j)
     assert sol.a == pytest.approx(2.5)
+
+
+def test_selfconsistent_ladder_follows_units():
+    # mass = 1 halves hbar^2 / 2m: match V / 0.5 = 50 e^{-2x} - 100 e^{-x}, scale by 0.5
+    units = UnitSystem(1.0, 1.0, 1.0)
+    sol = ladder(MorseGeneral(25.0, 50.0, 1.0), Mode.SELF_CONSISTENT, units)
+    assert sol == solve_selfconsistent_morse(25.0, -50.0, 1.0, 0.5)
+    assert [sol.level(n, 0, units)[0].real for n in range(4)] == pytest.approx(
+        [-21.5895, -15.5184, -10.4473, -6.3763], abs=1e-4)
+    with pytest.raises(InvalidModelError):
+        solve_selfconsistent_morse(25.0, -50.0, 1.0, 0.0)
 
 
 def test_ladder_picks_the_mode():
@@ -224,9 +245,10 @@ def test_partner_potential_rational_family():
     (MorsePT2(2.0, 3.0, 1.0), OSC_GRID),
 ])
 def test_selfconsistent_residual_vanishes(model, grid):
-    for l in range(3):
-        rep = riccati_residual(model, l, grid, mode=Mode.SELF_CONSISTENT)
-        assert rep.max_abs_residual < 1e-10
+    for units in (DEFAULT_UNITS, UnitSystem(1.0, 1.0, 1.0), UnitSystem(0.5, 2.0, 1.0)):
+        for l in range(3):
+            rep = riccati_residual(model, l, grid, mode=Mode.SELF_CONSISTENT, units=units)
+            assert rep.max_abs_residual < 1e-10
 
 
 def test_literal_residual_golden_general_morse():

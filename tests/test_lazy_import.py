@@ -1,5 +1,6 @@
-"""The closed-form layer and the CLI start without scipy, and a real well is
-verified without it.
+"""The closed-form layer and the CLI start without numpy or scipy: the
+closed-form commands and a rejected config never load numpy, array code
+imports it when first used, and a real well is verified without scipy.
 
 Each check runs in a fresh interpreter, because the test process has long
 imported the verifier by the time this file runs.
@@ -169,4 +170,122 @@ def test_thread_cap_sees_scipy_openblas_after_a_real_well_verify(tmp_path, numpy
     real.write_text(REAL_WELL, encoding="utf-8")
     scan.write_text(SCAN, encoding="utf-8")
     proc = _python(SETTERS_PROBE.format(real=str(real), scan=str(scan)))
+    assert proc.returncode == 0, proc.stderr
+
+
+FAMILIES = {
+    "morse_general": "v1 = 25\nv2 = 50",
+    "morse_nonpt": "d = 9\np = 2",
+    "morse_pt1": "v1 = 16\nv2 = 12",
+    "morse_pt2": "omega = 2\nd = 3",
+    "poschl_teller": "v0 = 6\nq = 1",
+    "poschl_teller_pt": "v0 = 4\nq = 0.5",
+}
+
+INVALID = {
+    "family": "[model]\nfamily = nope\n",
+    "key": "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\nv3 = 1\n",
+    "value": "[model]\nfamily = morse_pt2\nomega = 0\nd = 1\n",
+    "mode": "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n\n[run]\nmode = nope\n",
+    "grid": "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n\n[grid]\nn_points = 3\n",
+}
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+{code}
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+CLI_PROBE = """
+from susyhier.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in {runs!r}]
+assert codes == {codes!r}, codes
+"""
+
+
+def _assert_numpy_unloaded(code: str):
+    proc = _python(NUMPY_PROBE.format(code=code))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["susyhier", "susyhier.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    _assert_numpy_unloaded(f"import {module}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_help_leaves_numpy_unloaded(argv):
+    _assert_numpy_unloaded(f"""
+from susyhier.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main({argv!r})
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+""")
+
+
+def test_invalid_configs_leave_numpy_unloaded(tmp_path):
+    # every config that load_config rejects, and a missing file
+    runs = [["spectrum", "--config", str(tmp_path / "missing.ini")]]
+    for name, text in INVALID.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text, encoding="utf-8")
+        runs += [[command, "--config", str(path)] for command in ("spectrum", "verify")]
+    _assert_numpy_unloaded(CLI_PROBE.format(runs=runs, codes=[1] * len(runs)))
+
+
+def test_spectrum_of_every_family_in_both_modes_leaves_numpy_unloaded(tmp_path):
+    runs, codes = [], []
+    for family, params in FAMILIES.items():
+        path = tmp_path / f"{family}.ini"
+        path.write_text(f"[model]\nfamily = {family}\n{params}\n\n[run]\nl_max = 2\n",
+                        encoding="utf-8")
+        for mode in ("paper-literal", "self-consistent"):
+            runs.append(["spectrum", "--config", str(path), "--mode", mode])
+            # the rational wells have no two-term exponential ladder to match
+            codes.append(1 if family.startswith("poschl") and mode == "self-consistent" else 0)
+    _assert_numpy_unloaded(CLI_PROBE.format(runs=runs, codes=codes))
+
+
+def test_closed_form_library_calls_leave_numpy_unloaded():
+    _assert_numpy_unloaded("""
+from susyhier import Mode, MorseGeneral, MorsePT1, hierarchy, spectrum_records
+for model in (MorseGeneral(25.0, 50.0), MorsePT1(16.0, 12.0)):
+    for mode in Mode:
+        assert len(hierarchy(model, 3, mode)) == 4
+        assert len(spectrum_records(model, 5, 2, mode=mode)) == 18
+""")
+
+
+def test_array_code_imports_numpy_when_first_used(tmp_path):
+    path = tmp_path / "real.ini"
+    path.write_text(REAL_WELL, encoding="utf-8")
+    proc = _python(f"""
+import sys
+from susyhier.cli import main
+assert main(["spectrum", "--config", {str(path)!r}, "--out", {str(path)!r} + ".s"]) == 0
+assert "numpy" not in sys.modules
+assert main(["wavefunction", "--config", {str(path)!r}, "--out", {str(path)!r} + ".w"]) == 0
+assert "numpy" in sys.modules and "scipy" not in sys.modules
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lapack_is_found_after_numpy_loads_late(tmp_path, numpy_lapack):
+    # the CLI starts without numpy, so dstebz and dstein are looked up only
+    # after a command has loaded it; they must come from numpy's OpenBLAS
+    path = tmp_path / "real.ini"
+    path.write_text(REAL_WELL, encoding="utf-8")
+    proc = _python(f"""
+import sys
+from susyhier.cli import main
+assert main(["spectrum", "--config", {str(path)!r}, "--out", {str(path)!r} + ".s"]) == 0
+assert "numpy" not in sys.modules
+assert main(["verify", "--config", {str(path)!r}, "--out", {str(path)!r} + ".v"]) == 0
+from susyhier import verifier
+assert verifier._stebz_stein() is not None
+assert "scipy" not in sys.modules
+""")
     assert proc.returncode == 0, proc.stderr
