@@ -3,7 +3,9 @@
 Pins, for each of the six families: `spectrum` stdout, stderr and exit code
 (n_max = 3, l_max = 1), the ground energies of `hierarchy(model, 2, mode)`,
 and `riccati_residual` at l = 0..2, including the UnsupportedFamilyError
-message where self-consistent mode is refused.  The golden file is fixed;
+message where self-consistent mode is refused; then V and the ground state
+of `groundstate_wavefunction` at l = 0 and 1, sampled on a 17-point grid over
+the family's window, or the error line where the call raises.  The golden file is fixed;
 regenerate it only for a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_closed_form_golden.py
@@ -15,7 +17,8 @@ import io
 import tempfile
 from pathlib import Path
 
-from susyhier import Grid, Mode, SusyhierError, hierarchy, riccati_residual
+from susyhier import (Grid, Mode, SusyhierError, groundstate_wavefunction, hierarchy,
+                      riccati_residual)
 from susyhier.cli import main
 from susyhier.config import load_config
 
@@ -30,6 +33,7 @@ FAMILIES = [
     ("poschl_teller_pt", "v0 = 4\nq = 0.5"),
 ]
 RESIDUAL_POINTS = 201
+SAMPLE_POINTS = 17
 
 
 def _error(exc: SusyhierError) -> str:
@@ -64,6 +68,14 @@ def render(workdir: Path) -> str:
                 except SusyhierError as exc:
                     line = _error(exc)
                 out += [f"== riccati_residual {family} {token} l={l}", line]
+        samples = Grid(*model.window, SAMPLE_POINTS)
+        out += [f"== evaluate {family}", repr(model.evaluate(samples.points()).tolist())]
+        for l in range(2):
+            try:
+                line = repr(groundstate_wavefunction(model, l, samples).values.tolist())
+            except SusyhierError as exc:
+                line = _error(exc)
+            out += [f"== groundstate {family} paper-literal l={l}", line]
     return "\n".join(out) + "\n"
 
 
