@@ -25,6 +25,7 @@ from typing import Callable, Optional
 from .config import DEFAULT_POINTS, RunConfig, load_config
 from .errors import ConfigError, SusyhierError
 from .hierarchy import Mode
+from .potentials import ensure_no_pole
 from .spectra import groundstate_wavefunction, spectrum_records
 
 _MODE_TOKENS = {m.value.replace("_", "-"): m for m in Mode}
@@ -48,6 +49,7 @@ def _fmt_complex(z: complex) -> str:
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[str, list[str], int]:
     """emit the closed-form energy levels as CSV"""
+    ensure_no_pole(cfg.model, cfg.grid.x_min, cfg.grid.x_max)
     records = spectrum_records(cfg.model, cfg.n_max, cfg.l_max, cfg.units, mode=cfg.mode)
     lines = ["n,l,E_re,E_im,formula,admissible"]
     warnings = []
@@ -133,7 +135,7 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[str, list[str], int]:
     """sample the ground-state wavefunction on the grid"""
-    sample = groundstate_wavefunction(cfg.model, cfg.l, cfg.grid, cfg.units)
+    sample = groundstate_wavefunction(cfg.model, cfg.l, cfg.grid, cfg.units, mode=cfg.mode)
     lines = []
     if not sample.normalized:
         lines.append("# unnormalized")

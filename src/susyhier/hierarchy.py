@@ -1,9 +1,9 @@
 """Factorization hierarchy: superpotentials, partner potentials, residuals.
 
 Two modes exist side by side and are never mixed.  Each mode is one ladder
-object, answering `formula`, `level(n, l, units)`, `superpotential(l, units)`
-and `partner(l, units)`; `ladder(model, mode, units)` is the one place that
-picks it:
+object, answering `formula`, `level(n, l, units)`, `superpotential(l, units)`,
+`partner(l, units)` and `groundstate(l, x, units)`; `ladder(model, mode,
+units)` is the one place that picks it:
 
 * literal mode is the family's model instance itself: its published ansatz
   and partner exactly as printed, and the residual of the factorization
@@ -11,7 +11,8 @@ picks it:
   families);
 * self-consistent mode is a `SelfConsistentSolution`, the two-term
   exponential superpotential determined by coefficient matching, which
-  satisfies the identity by construction.
+  satisfies the identity by construction; its W and ground state come from
+  the same `TwoTermAnsatz` code as the exponential families'.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .errors import DegenerateQuadraticError, InvalidModelError
 from .expressions import (DerivativeScale, RationalPartner, SuperpotentialExpr, exp_sum,
                           scale_value)
 from .grids import Grid
-from .potentials import PotentialModel, SpectrumFormula
+from .potentials import PotentialModel, SpectrumFormula, TwoTermAnsatz, _scaled
 from .units import UnitSystem, DEFAULT_UNITS
 
 
@@ -58,21 +59,16 @@ def partner_potential(model: Ladder, l: int, units: UnitSystem = DEFAULT_UNITS
 # self-consistent solution
 # ---------------------------------------------------------------------------
 
-def _scaled(z: complex, s: float) -> complex:
-    """z times the positive real s, part by part, so s = 1 returns z bit for bit."""
-    return complex(z.real * s, z.imag * s)
-
-
 @dataclass(frozen=True)
-class SelfConsistentSolution:
+class SelfConsistentSolution(TwoTermAnsatz):
     """Superpotential -b e^{-r x} + a matched to (c2 e^{-2 r x} + c1 e^{-r x}) / kinetic.
 
     With kinetic = hbar^2 / 2m, H = -kinetic d^2/dx^2 + V is kinetic times the
     unit-kinetic Hamiltonian of V / kinetic, which the match solves; so the
     levels and partners are scaled by kinetic and W by sqrt(kinetic), and
-    H_l - E0_l = A^+ A with A = sqrt(kinetic) d/dx + W_l.  It answers like a
-    family class for the units `ladder` matched it at; the `units` argument of
-    its methods is unused.
+    H_l - E0_l = A^+ A with A = sqrt(kinetic) d/dx + W_l, whose zero mode is
+    the ground state.  It answers like a family class for the units `ladder`
+    matched it at; the `units` argument of its methods is unused.
     """
 
     b: complex
@@ -82,18 +78,21 @@ class SelfConsistentSolution:
 
     formula = SpectrumFormula.SELF_CONSISTENT
 
+    @property
+    def w_scale(self) -> float:
+        return math.sqrt(self.kinetic)
+
     def a_level(self, l: int) -> complex:
         """Level shift a_l = a - l * rate."""
         return self.a - l * self.rate
+
+    def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
+        return self.b, self.a_level(l)
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
         """E = -kinetic (a - (n + l) rate)^2, a bound state while its shift keeps Re > 0."""
         a = self.a_level(n + l)
         return _scaled(-a * a, self.kinetic), a.real > 0.0
-
-    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
-        root = math.sqrt(self.kinetic)
-        return exp_sum(self.rate, (_scaled(-self.b, root), 1), (_scaled(self.a_level(l), root), 0))
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         """W_l^2 - sqrt(kinetic) W_l' + E0_l expanded in closed form (constants cancel)."""

@@ -8,8 +8,10 @@ of the instance, not the family.
 
 Each family is one frozen class that holds every fact about it: config
 token, parameter kinds (the field annotations; a field with a default is
-optional), default window, formulas, admissibility, pole check and ground
-state.  Callers ask the instance for those facts through its methods.
+optional), default window, rate, formulas, admissibility, pole check and
+ground state.  Callers ask the instance for those facts through its methods.
+The exponential wells state V and their literal ansatz once each, and
+`TwoTermAnsatz` and `_Exponential` derive V, W and the ground state from them.
 """
 from __future__ import annotations
 
@@ -65,6 +67,11 @@ def _two_m_over_h2(units: UnitSystem) -> float:
     return 2.0 * units.mass / units.hbar**2
 
 
+def _scaled(z: complex, s: float) -> complex:
+    """z times the positive real s, part by part, so s = 1 returns z bit for bit."""
+    return complex(z.real * s, z.imag * s)
+
+
 class SpectrumFormula(Enum):
     """Which closed form produced an energy record."""
 
@@ -79,13 +86,35 @@ class SpectrumFormula(Enum):
 # model variants
 # ---------------------------------------------------------------------------
 
+class TwoTermAnsatz:
+    """Superpotential W_l = w_scale (-B e^{-rate x} + A_l) with (B, A_l) = ansatz(l, units).
+
+    A subclass sets `rate` (a Python float when real, so e^{-rate x} is numpy's
+    real exp) and `ansatz`; the families keep w_scale = 1.  The ground state
+    solves (w_scale d/dx + W_l) psi = 0: psi = exp[-(B/rate) e^{-rate x} - A_l x].
+    """
+
+    w_scale = 1.0
+
+    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
+        b, a_l = self.ansatz(l, units)
+        s = self.w_scale
+        return exp_sum(self.rate, (_scaled(-b, s), 1), (_scaled(a_l, s), 0))
+
+    def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
+        import numpy as np
+        b, a_l = self.ansatz(l, units)
+        r = self.rate
+        return np.exp(-(b / r) * np.exp(-r * x) - a_l * x)
+
+
 class _Family:
     """Base of the model classes, each a frozen dataclass.
 
-    A family class sets `token` (its config `family` value), `formula` and
-    `window` (the default x interval), and defines `evaluate`, `level` ->
-    (E, admissible), `superpotential`, `partner` and `groundstate`; the
-    methods here serve the families that lack the fact.
+    A family class sets `token` (its config `family` value), `formula`,
+    `window` (the default x interval) and `rate`, and defines `evaluate`,
+    `level` -> (E, admissible), `superpotential`, `partner` and
+    `groundstate`; the methods here serve the families that lack the fact.
     """
 
     def __post_init__(self):
@@ -109,8 +138,18 @@ class _Family:
         return False
 
 
+class _Exponential(TwoTermAnsatz, _Family):
+    """A two-term exponential well V = c2 u^2 + c1 u with u = e^{-rate x}."""
+
+    def evaluate(self, x):
+        import numpy as np
+        c2, c1, rate = self.exponential_coefficients()
+        u = np.exp(-rate * np.asarray(x, dtype=float))
+        return c2 * u * u + c1 * u
+
+
 @dataclass(frozen=True)
-class MorseGeneral(_Family):
+class MorseGeneral(_Exponential):
     """V(x) = V1 e^{-2 alpha x} - V2 e^{-alpha x}, real decay rate alpha."""
 
     v1: complex
@@ -124,10 +163,9 @@ class MorseGeneral(_Family):
     def window(self) -> tuple[float, float]:
         return -3.0 / self.alpha, 30.0 / self.alpha
 
-    def evaluate(self, x):
-        import numpy as np
-        u = np.exp(-self.alpha * np.asarray(x, dtype=float))
-        return self.v1 * u * u - self.v2 * u
+    @property
+    def rate(self) -> float:
+        return self.alpha
 
     def structurally_hermitian(self) -> bool:
         return self.v1.imag == 0.0 and self.v2.imag == 0.0
@@ -136,7 +174,7 @@ class MorseGeneral(_Family):
         return cmath.sqrt(_two_m_over_h2(units) * self.v1 / self.alpha**2)
 
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
-        return self.v1, -self.v2, complex(self.alpha)
+        return self.v1, -self.v2, self.rate
 
     def _lam_q(self, units: UnitSystem) -> tuple[complex, complex]:
         lam = self.lam(units)
@@ -145,34 +183,29 @@ class MorseGeneral(_Family):
         return lam, self.v2 / self.v1
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
+        """A bound state iff Re(lam q) - (2l + n + 1)/2 > 0."""
         lam, q = self._lam_q(units)
-        return energy_morse_general(lam, q, n, l), admissible_morse_general(lam, q, n, l)
+        return (energy_morse_general(lam, q, n, l),
+                (lam * q).real - (2 * l + n + 1) / 2.0 > 0.0)
 
-    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
+    def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
         lam, q = self._lam_q(units)
-        return exp_sum(complex(self.alpha), (-lam, 1), (lam * q - (2 * l + 1) / 2.0, 0))
+        return lam, lam * q - (2 * l + 1) / 2.0
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         lam, q = self._lam_q(units)
-        return exp_sum(complex(self.alpha),
+        return exp_sum(self.rate,
                        (lam * lam, 2), (-lam * lam * q + 2 * l * lam, 1))
 
-    def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
-        import numpy as np
-        lam, q = self._lam_q(units)
-        a = self.alpha
-        # psi = exp[-(lam/alpha) e^{-alpha x} - (lam q - (2l+1)/2) x]
-        return np.exp(-(lam / a) * np.exp(-a * x) - (lam * q - (2 * l + 1) / 2.0) * x)
 
-
-class _MorseComplex(_Family):
+class _MorseComplex(_Exponential):
     """Level and admissibility shared by the two families on E = -(lam - (n+2l+1)/2)^2."""
 
     formula = SpectrumFormula.MORSE_COMPLEX
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
         lam = self.lam(units)
-        return energy_morse_complex(lam, n, l), admissible_morse_complex(lam, n, l)
+        return energy_morse_complex(lam, n, l), lam.real - (n + 2 * l + 1) / 2.0 > 0.0
 
 
 @dataclass(frozen=True)
@@ -184,32 +217,22 @@ class MorseNonPT(_MorseComplex):
 
     token = "morse_nonpt"
     window = (-3.0, 30.0)
-
-    def evaluate(self, x):
-        import numpy as np
-        u = np.exp(-np.asarray(x, dtype=float))
-        return -self.d * (u * u + 1j * self.p * u)
+    rate = 1.0
 
     def lam(self, units: UnitSystem) -> complex:
         return cmath.sqrt(_two_m_over_h2(units) * self.d)
 
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
-        return complex(-self.d), -1j * self.d * self.p, 1.0 + 0j
+        return complex(-self.d), -1j * self.d * self.p, self.rate
 
-    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
+    def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
         lam = self.lam(units)
-        return exp_sum(1.0 + 0j, (-1j * lam, 1), (lam - (2 * l + 1) / 2.0, 0))
+        return 1j * lam, lam - (2 * l + 1) / 2.0
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         lam = self.lam(units)
-        return exp_sum(1.0 + 0j,
+        return exp_sum(self.rate,
                        (-lam * lam, 2), (-2j * lam * lam + 2j * l * lam, 1))
-
-    def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
-        import numpy as np
-        lam = self.lam(units)
-        # psi = exp[-i lam e^{-x} - (lam - (2l+1)/2) x]
-        return np.exp(-1j * lam * np.exp(-x) - (lam - (2 * l + 1) / 2.0) * x)
 
 
 @dataclass(frozen=True)
@@ -221,11 +244,7 @@ class MorsePT1(_MorseComplex):
 
     token = "morse_pt1"
     window = (-20.0, 20.0)
-
-    def evaluate(self, x):
-        import numpy as np
-        u = np.exp(-1j * np.asarray(x, dtype=float))
-        return self.v1 * u * u - self.v2 * u
+    rate = 1j
 
     def lam(self, units: UnitSystem) -> complex:
         # v1 enters as a square (v1 = (A+iB)^2 with lam = A+iB): the alpha^2 = -1
@@ -236,25 +255,19 @@ class MorsePT1(_MorseComplex):
         return cmath.sqrt(_two_m_over_h2(units) * self.v1)
 
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
-        return self.v1, -self.v2, 1j
+        return self.v1, -self.v2, self.rate
 
-    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
+    def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
         lam = self.lam(units)
-        return exp_sum(1j, (-lam, 1), (lam - (2 * l + 1) / 2.0, 0))
+        return lam, lam - (2 * l + 1) / 2.0
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         lam = self.lam(units)
-        return exp_sum(1j, (lam * lam, 2), (-lam * lam + 2 * l * lam, 1))
-
-    def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
-        import numpy as np
-        lam = self.lam(units)
-        # exp(-int W) for W = -lam e^{-ix} + (lam - (2l+1)/2)
-        return np.exp(1j * lam * np.exp(-1j * x) - (lam - (2 * l + 1) / 2.0) * x)
+        return exp_sum(self.rate, (lam * lam, 2), (-lam * lam + 2 * l * lam, 1))
 
 
 @dataclass(frozen=True)
-class MorsePT2(_Family):
+class MorsePT2(_Exponential):
     """V(x) = -omega^2 e^{-2 i alpha x} - d e^{-i alpha x}; rejects omega = 0."""
 
     omega: float
@@ -273,36 +286,28 @@ class MorsePT2(_Family):
     def window(self) -> tuple[float, float]:
         return -20.0 / self.alpha, 20.0 / self.alpha
 
-    def evaluate(self, x):
-        import numpy as np
-        u = np.exp(-1j * self.alpha * np.asarray(x, dtype=float))
-        return -(self.omega**2) * u * u - self.d * u
+    @property
+    def rate(self) -> complex:
+        return 1j * self.alpha
 
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
-        return complex(-(self.omega**2)), complex(-self.d), 1j * self.alpha
+        return complex(-(self.omega**2)), complex(-self.d), self.rate
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
+        """A bound state iff 2l + n + 1 + d/(2 omega) > 0."""
         return (energy_morse_shifted(self.d, self.omega, n, l),
-                admissible_morse_shifted(self.d, self.omega, n, l))
+                2 * l + n + 1 + self.d / (2.0 * self.omega) > 0.0)
 
-    def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
-        c = 2 * l + 1 + self.d / (2.0 * self.omega)
-        return exp_sum(1j * self.alpha, (-1.0, 1), (c, 0))
+    def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
+        return 1.0, 2 * l + 1 + self.d / (2.0 * self.omega)
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
-        c = 2 * l + 1 + self.d / (2.0 * self.omega) + 0.5j * self.alpha
-        return exp_sum(1j * self.alpha, (1.0, 2), (-2.0 * c, 1))
-
-    def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
-        import numpy as np
-        a = self.alpha
-        c = 2 * l + 1 + self.d / (2.0 * self.omega)
-        # exp(-int W) for W = -e^{-i alpha x} + c
-        return np.exp((1j / a) * np.exp(-1j * a * x) - c * x)
+        c = 2 * l + 1 + self.d / (2.0 * self.omega) + self.rate / 2.0
+        return exp_sum(self.rate, (1.0, 2), (-2.0 * c, 1))
 
 
 class _Rational(_Family):
-    """The two rational wells.
+    """The two rational wells, V = -4 V0 u / (1 + q u)^2 with u = e^{-2 rate x}.
 
     Each supplies `_kernel()`, the unit-strength rational factor of W, and
     `_base(x)`, which its ground state raises to the power l + 1.
@@ -313,6 +318,13 @@ class _Rational(_Family):
     @property
     def window(self) -> tuple[float, float]:
         return -10.0 / self.alpha, 10.0 / self.alpha
+
+    def evaluate(self, x):
+        import numpy as np
+        u = np.exp(-2.0 * self.rate * np.asarray(x, dtype=float))
+        denom = 1.0 + self.q * u
+        _check_denominator(denom, self.q)
+        return -4.0 * self.v0 * u / (denom * denom)
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
         return energy_poschl_teller(self.q, units, n, l), admissible_poschl_teller(units, n, l)
@@ -349,12 +361,9 @@ class PoschlTeller(_Rational):
 
     token = "poschl_teller"
 
-    def evaluate(self, x):
-        import numpy as np
-        u = np.exp(-2.0 * self.alpha * np.asarray(x, dtype=float))
-        denom = 1.0 + self.q * u
-        _check_denominator(denom, self.q)
-        return -4.0 * self.v0 * u / (denom * denom)
+    @property
+    def rate(self) -> float:
+        return self.alpha
 
     def structurally_hermitian(self) -> bool:
         return self.v0.imag == 0.0 and self.q.imag == 0.0
@@ -375,14 +384,14 @@ class PoschlTeller(_Rational):
         if self._imag_form:
             qi = self.q.imag
             term = RationalTerm(qi, qi * qi, power=4)
-            return SuperpotentialExpr(complex(self.alpha), (), (term,))
-        return SuperpotentialExpr(complex(self.alpha), (), (RationalTerm(1.0, self.q, power=2),))
+            return SuperpotentialExpr(self.rate, (), (term,))
+        return SuperpotentialExpr(self.rate, (), (RationalTerm(1.0, self.q, power=2),))
 
     def _base(self, x: np.ndarray) -> np.ndarray:
         import numpy as np
         if self._imag_form:
-            return 1.0 + self.q.imag**2 * np.exp(-4.0 * self.alpha * x)
-        return 1.0 + self.q * np.exp(-2.0 * self.alpha * x)
+            return 1.0 + self.q.imag**2 * np.exp(-4.0 * self.rate * x)
+        return 1.0 + self.q * np.exp(-2.0 * self.rate * x)
 
 
 @dataclass(frozen=True)
@@ -398,12 +407,9 @@ class PoschlTellerPT(_Rational):
 
     token = "poschl_teller_pt"
 
-    def evaluate(self, x):
-        import numpy as np
-        u = np.exp(-2j * self.alpha * np.asarray(x, dtype=float))
-        denom = 1.0 + self.q * u
-        _check_denominator(denom, self.q)
-        return -4.0 * self.v0 * u / (denom * denom)
+    @property
+    def rate(self) -> complex:
+        return 1j * self.alpha
 
     def check_pole(self, x_min: float, x_max: float) -> None:
         q = self.q
@@ -417,11 +423,11 @@ class PoschlTellerPT(_Rational):
 
     def _kernel(self) -> SuperpotentialExpr:
         term = RationalTerm(self.q, self.q**2, power=4)
-        return SuperpotentialExpr(1j * self.alpha, (), (term,))
+        return SuperpotentialExpr(self.rate, (), (term,))
 
     def _base(self, x: np.ndarray) -> np.ndarray:
         import numpy as np
-        return 1.0 + self.q**2 * np.exp(-4j * self.alpha * x)
+        return 1.0 + self.q**2 * np.exp(-4.0 * self.rate * x)
 
 
 PotentialModel = Union[MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller, PoschlTellerPT]
@@ -484,21 +490,6 @@ def energy_poschl_teller(q: complex, units: UnitSystem, n: int, l: int) -> compl
     scale = units.mass * units.e_sq**2 / (2.0 * units.hbar**2)
     b = _pt_bracket(n, l, units.beta)
     return -(q * q) * scale * b * b
-
-
-def admissible_morse_general(lam: complex, q: complex, n: int, l: int) -> bool:
-    """Bound state iff Re(lam q) - (2l + n + 1)/2 > 0."""
-    return (lam * q).real - (2 * l + n + 1) / 2.0 > 0.0
-
-
-def admissible_morse_complex(lam: complex, n: int, l: int) -> bool:
-    return lam.real - (n + 2 * l + 1) / 2.0 > 0.0
-
-
-def admissible_morse_shifted(d: float, omega: float, n: int, l: int) -> bool:
-    if omega == 0.0:
-        raise ZeroOmegaError("omega must be nonzero")
-    return 2 * l + n + 1 + d / (2.0 * omega) > 0.0
 
 
 def admissible_poschl_teller(units: UnitSystem, n: int, l: int) -> bool:

@@ -1,8 +1,9 @@
 """Closed-form energy records and ground-state wavefunctions.
 
-Each family's model class carries its one closed-form level formula, and the
-self-consistent solution answers the same `level`; levels are indexed by the
-oscillator number n and the hierarchy depth l.
+Each family's model class carries its one closed-form level formula and
+ground state, and the self-consistent solution answers the same `level` and
+`groundstate`; levels are indexed by the oscillator number n and the
+hierarchy depth l.
 Admissibility marks which (n, l) pairs correspond to genuine bound states.
 """
 from __future__ import annotations
@@ -73,20 +74,23 @@ class WavefunctionSample:
 
 
 def groundstate_wavefunction(model: PotentialModel, l: int, grid: Grid,
-                             units: UnitSystem = DEFAULT_UNITS) -> WavefunctionSample:
-    """Sample the closed-form ground state at hierarchy depth l on the grid.
+                             units: UnitSystem = DEFAULT_UNITS,
+                             mode: Mode = Mode.PAPER_LITERAL) -> WavefunctionSample:
+    """Sample the ground state of the mode's ladder at hierarchy depth l on the grid.
 
-    Real-valued (Hermitian) instances are normalized by trapezoid quadrature
-    of |psi|^2 over the grid; complex-valued instances are returned raw with
+    The pole check and the normalization follow the model: real-valued
+    (Hermitian) instances are normalized by trapezoid quadrature of |psi|^2
+    over the grid; complex-valued instances are returned raw with
     norm_constant = 1.
     """
     import numpy as np
-    if not energy_record(model, 0, l, units).admissible:
+    lad = ladder(model, mode, units)
+    if not energy_record(lad, 0, l, units).admissible:
         raise NotNormalizableError(f"level (n=0, l={l}) fails the bound-state condition")
     ensure_no_pole(model, grid.x_min, grid.x_max)
     x = grid.points()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        values = np.asarray(model.groundstate(l, x, units), dtype=complex)
+        values = np.asarray(lad.groundstate(l, x, units), dtype=complex)
     if not model.structurally_hermitian():
         return WavefunctionSample(grid, values, 1.0, QuantumNumbers(0, l), False)
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):

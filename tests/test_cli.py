@@ -2,9 +2,12 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from susyhier.cli import _COMMANDS, main
+
+DATA = Path(__file__).parent / "data"
 
 MORSE_VERIFY = """
 [model]
@@ -284,6 +287,58 @@ def test_wavefunction_unnormalized_flag(tmp_path, capsys):
     assert len(lines) == 34
 
 
+def _overlap(a, b) -> float:
+    return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def test_wavefunction_follows_mode(tmp_path):
+    """--mode picks the ladder whose ground state is sampled: the self-consistent
+    psi0 of morse_general 25/50 is the finite-difference ground state, the
+    literal one (whose E0 = -90.25 is not a level of this well) is not."""
+    from susyhier import Mode, load_config
+    from susyhier.verifier import _states_below, bound_states, build_hamiltonian
+    cfg = load_config(str(DATA / "morse_general_wavefunction.ini"))
+    states = bound_states(_states_below(build_hamiltonian(cfg.model, cfg.grid, cfg.units)))
+    assert states.eigenvalues[0].real == pytest.approx(-20.25, abs=1e-2)
+    ground = states.eigenvectors[:, 0]
+    overlaps = {}
+    for mode in Mode:
+        out = tmp_path / f"{mode.value}.csv"
+        assert main(["wavefunction", "--config", str(DATA / "morse_general_wavefunction.ini"),
+                     "--mode", mode.value.replace("_", "-"), "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        psi = rows[:, 1] + 1j * rows[:, 2]
+        overlaps[mode] = _overlap(ground, psi[1:-1])  # the FD vector lives on interior points
+    assert overlaps[Mode.SELF_CONSISTENT] >= 0.999999
+    assert overlaps[Mode.PAPER_LITERAL] < 0.5
+
+
+@pytest.mark.parametrize("family,params", [("poschl_teller", "v0 = 6\nq = 1"),
+                                           ("poschl_teller_pt", "v0 = 4\nq = 0.5")],
+                         ids=["poschl_teller", "poschl_teller_pt"])
+def test_wavefunction_self_consistent_rational_exits_1(tmp_path, capsys, family, params):
+    """A rational well has no self-consistent ladder: wavefunction refuses it with
+    spectrum's error line."""
+    cfg = write_cfg(tmp_path, f"[model]\nfamily = {family}\n{params}\n")
+    assert main(["wavefunction", "--config", cfg, "--mode", "self-consistent"]) == 1
+    err = capsys.readouterr().err
+    assert "is not a two-term exponential well" in err
+    assert main(["spectrum", "--config", cfg, "--mode", "self-consistent"]) == 1
+    assert capsys.readouterr().err == err
+
+
+def test_wavefunction_self_consistent_without_bound_state_exits_1(tmp_path, capsys):
+    """morse_pt2's self-consistent ground level fails the bound-state condition,
+    where spectrum prints a bare header."""
+    cfg = write_cfg(tmp_path, "[model]\nfamily = morse_pt2\nomega = 2\nd = 3\n")
+    assert main(["wavefunction", "--config", cfg, "--mode", "self-consistent"]) == 1
+    assert capsys.readouterr().err == ("error: level (n=0, l=0) fails the bound-state "
+                                       "condition\n")
+    assert main(["spectrum", "--config", cfg, "--mode", "self-consistent"]) == 0
+    assert "no admissible bound levels" in capsys.readouterr().err
+    assert main(["wavefunction", "--config", cfg]) == 0
+
+
 # ---------------------------------------------------------------------------
 # failure exits
 # ---------------------------------------------------------------------------
@@ -345,8 +400,11 @@ def test_zero_omega_exits_1(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
-def test_pole_on_domain_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "verify", "wavefunction"])
+def test_pole_on_domain_exits_1(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 4\nq = -0.5\n"
                               "\n[grid]\nx_min = -10\nx_max = 10\nn_points = 101\n")
-    assert main(["wavefunction", "--config", cfg]) == 1
-    assert "denominator zero" in capsys.readouterr().err
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: denominator zero at x = -0.346574 inside the domain\n"

@@ -4,8 +4,9 @@ Pins, for each of the six families: `spectrum` stdout, stderr and exit code
 (n_max = 3, l_max = 1), the ground energies of `hierarchy(model, 2, mode)`,
 and `riccati_residual` at l = 0..2, including the UnsupportedFamilyError
 message where self-consistent mode is refused; then V and the ground state
-of `groundstate_wavefunction` at l = 0 and 1, sampled on a 17-point grid over
-the family's window, or the error line where the call raises.  The golden file is fixed;
+of `groundstate_wavefunction` at l = 0 and 1 in both modes, sampled on a
+17-point grid over the family's window, or the error line where the call
+raises.  The golden file is fixed;
 regenerate it only for a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_closed_form_golden.py
@@ -70,12 +71,15 @@ def render(workdir: Path) -> str:
                 out += [f"== riccati_residual {family} {token} l={l}", line]
         samples = Grid(*model.window, SAMPLE_POINTS)
         out += [f"== evaluate {family}", repr(model.evaluate(samples.points()).tolist())]
-        for l in range(2):
-            try:
-                line = repr(groundstate_wavefunction(model, l, samples).values.tolist())
-            except SusyhierError as exc:
-                line = _error(exc)
-            out += [f"== groundstate {family} paper-literal l={l}", line]
+        for mode in Mode:
+            token = mode.value.replace("_", "-")
+            for l in range(2):
+                try:
+                    line = repr(groundstate_wavefunction(model, l, samples,
+                                                         mode=mode).values.tolist())
+                except SusyhierError as exc:
+                    line = _error(exc)
+                out += [f"== groundstate {family} {token} l={l}", line]
     return "\n".join(out) + "\n"
 
 

@@ -149,6 +149,49 @@ def test_ladder_picks_the_mode():
 
 
 # ---------------------------------------------------------------------------
+# ground states of the exponential ladders
+# ---------------------------------------------------------------------------
+
+def _modulus(lo: float, hi: float):
+    """Complex numbers with modulus in [lo, hi] and any phase."""
+    return st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                     st.floats(lo, hi), st.floats(0.0, 2.0 * math.pi))
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+# bounded so that every exponent of psi0 at the sample points stays below a few hundred
+_EXPONENTIAL_WELLS = st.one_of(
+    st.builds(MorseGeneral, _modulus(4.0, 25.0), _modulus(0.0, 25.0), st.floats(0.7, 2.0)),
+    st.builds(MorseNonPT, st.builds(lambda s, d: s * d, _SIGN, st.floats(0.5, 16.0)),
+              st.floats(-3.0, 3.0)),
+    st.builds(MorsePT1, _modulus(1.0, 25.0), _modulus(0.0, 25.0)),
+    st.builds(MorsePT2, st.builds(lambda s, w: s * w, _SIGN, st.floats(0.5, 3.0)),
+              st.floats(-5.0, 5.0), st.floats(0.5, 2.0)),
+)
+_BOUNDED_UNITS = st.just(DEFAULT_UNITS) | st.builds(UnitSystem, st.floats(0.5, 2.0),
+                                                    st.floats(0.25, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_EXPONENTIAL_WELLS, mode=st.sampled_from(list(Mode)), l=st.integers(0, 3),
+       units=_BOUNDED_UNITS)
+def test_groundstate_log_derivative_is_minus_w(model, mode, l, units):
+    """(ln psi0)' = -W_l / w_scale on every exponential ladder, to 1e-8.
+
+    The 5-point stencil runs on ln(psi0(x + k h) / psi0(x)): over steps this
+    small the ratio stays near 1, so the complex log keeps its principal branch.
+    """
+    lad = ladder(model, mode, units)
+    x = np.array([-0.5, 0.0, 0.5, 1.0]) / abs(model.rate)
+    h = 1e-3
+    psi = lad.groundstate(l, x[:, None] + h * np.arange(-2, 3), units)
+    logs = np.log(psi / psi[:, 2:3])
+    logderiv = (-logs[:, 4] + 8.0 * logs[:, 3] - 8.0 * logs[:, 1] + logs[:, 0]) / (12.0 * h)
+    w = lad.superpotential(l, units).evaluate(x) / lad.w_scale
+    assert np.max(np.abs(logderiv + w)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # published superpotentials and partners
 # ---------------------------------------------------------------------------
 
@@ -197,6 +240,24 @@ def test_superpotential_rational_family():
     # beta = 1 units: W(0) = 1/(2 sqrt 2) - 1/(4 sqrt 2)
     w = superpotential(PoschlTeller(6.0, 1.0, 1.0), 0, UnitSystem(1.0, 1.0, 1.0))
     assert w.evaluate(0.0) == pytest.approx(1.0 / (4.0 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("model", [
+    MorseGeneral(25.0, 50.0, 2.0), MorseNonPT(9.0, 2.0), MorsePT1(16.0, 12.0),
+    MorsePT2(2.0, 3.0, 0.5), PoschlTeller(6.0, 1.0, 1.5), PoschlTellerPT(4.0, 0.5, 0.8),
+], ids=lambda m: m.token)
+def test_rate_is_one_fact_of_the_family(model):
+    """V, W, the partner and the self-consistent ladder all run on the family's rate."""
+    for l in range(3):
+        assert superpotential(model, l).rate == model.rate
+        partner = partner_potential(model, l)
+        assert getattr(partner, "kernel", partner).rate == model.rate  # rational: its kernel
+    if isinstance(model, (PoschlTeller, PoschlTellerPT)):
+        return
+    assert model.exponential_coefficients()[2] == model.rate
+    assert ladder(model, Mode.SELF_CONSISTENT).rate == model.rate
+    # a real rate stays a Python float, so that e^{-rate x} is numpy's real exp
+    assert isinstance(model.rate, float) == (model.rate.imag == 0.0)
 
 
 def test_superpotential_validation():
