@@ -287,10 +287,6 @@ def test_wavefunction_unnormalized_flag(tmp_path, capsys):
     assert len(lines) == 34
 
 
-def _overlap(a, b) -> float:
-    return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-
-
 def test_wavefunction_follows_mode(tmp_path):
     """--mode picks the ladder whose ground state is sampled: the self-consistent
     psi0 of morse_general 25/50 is the finite-difference ground state, the
@@ -307,8 +303,8 @@ def test_wavefunction_follows_mode(tmp_path):
         assert main(["wavefunction", "--config", str(DATA / "morse_general_wavefunction.ini"),
                      "--mode", mode.value.replace("_", "-"), "--out", str(out)]) == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        psi = rows[:, 1] + 1j * rows[:, 2]
-        overlaps[mode] = _overlap(ground, psi[1:-1])  # the FD vector lives on interior points
+        psi = (rows[:, 1] + 1j * rows[:, 2])[1:-1]  # the FD vector lives on interior points
+        overlaps[mode] = abs(np.vdot(ground, psi)) / (np.linalg.norm(ground) * np.linalg.norm(psi))
     assert overlaps[Mode.SELF_CONSISTENT] >= 0.999999
     assert overlaps[Mode.PAPER_LITERAL] < 0.5
 
