@@ -4,8 +4,9 @@ hierarchies, plus a finite-difference verifier and a small CLI.
 The closed-form modules import numpy inside the functions that build or
 evaluate arrays, and the finite-difference verifier loads on first use
 (PEP 562), so `import susyhier` and the closed-form commands load neither
-numpy nor the verifier; the verifier imports scipy only to solve a
-complex-valued well, so real wells run without scipy.
+numpy nor the verifier; the verifier imports scipy for the reality scan
+and for a complex well's eigenvectors, so `verify` runs without scipy (it
+calls LAPACK in the OpenBLAS files bundled with numpy and scipy).
 """
 import importlib
 

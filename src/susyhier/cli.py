@@ -12,7 +12,8 @@ runs on the same config are byte-identical; warnings go to stderr.
 Each `cmd_*` function's docstring is its subcommand's `--help` line.
 `verify` and `scan` import the finite-difference verifier when they run, so
 the closed-form commands start without it; numpy loads with the first array
-(never for `spectrum`), and only complex-valued wells import scipy.
+(never for `spectrum`), and only `scan` imports scipy (`verify` too where
+the OpenBLAS bundled with scipy or numpy cannot be found).
 """
 from __future__ import annotations
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union, get_args
+from typing import TYPE_CHECKING, Union, get_args
 
 from .errors import InvalidModelError, PoleOnDomainError, ZeroOmegaError, UnsupportedFamilyError
 from .expressions import ExpTerm, RationalPartner, RationalTerm, SuperpotentialExpr, exp_sum
 from .grids import Grid, symmetric_points
-from .units import UnitSystem, DEFAULT_UNITS
+from .units import UnitSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -210,7 +210,11 @@ class _MorseComplex(_Exponential):
 
 @dataclass(frozen=True)
 class MorseNonPT(_MorseComplex):
-    """V(x) = -d [e^{-2x} + i p e^{-x}]; complex-valued, not PT-symmetric."""
+    """V(x) = -d [e^{-2x} + i p e^{-x}]; complex-valued, not PT-symmetric.
+
+    From the paper's (a, b, c) with a + i b = i omega: d = omega^2 and
+    p = (2c + 1) / omega, both real exactly when a = 0.
+    """
 
     d: float
     p: float
@@ -519,12 +523,6 @@ def eval_potential(model: PotentialModel, x):
     return model.evaluate(x)
 
 
-def pt_reflect(model: PotentialModel, x):
-    """The PT image conj(V(-x)), evaluated operationally."""
-    import numpy as np
-    return np.conjugate(eval_potential(model, -np.asarray(x, dtype=float)))
-
-
 class SymmetryClass(Enum):
     HERMITIAN = "hermitian"
     PT_SYMMETRIC = "pt_symmetric"
@@ -571,66 +569,3 @@ def poschl_teller_imag_form(v0_im: float, q_im: float, alpha: float, x):
     denom = 1.0 + q_im**2 * u * u
     num = 2.0 * q_im * u * u + 1j * u * (1.0 - q_im**2 * u * u)
     return -4.0 * v0_im * num / (denom * denom)
-
-
-# ---------------------------------------------------------------------------
-# derived parameters
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Derived quantities carried alongside a model instance.
-
-    `lam` is the family's superpotential strength; the chain fields
-    (omega, k_odd, g, t, d, p) are populated for models built from the
-    (a, b, c) parametrization and satisfy
-
-        omega^2 = -(a + i b)^2,  k_odd = 2c + 1,  g = omega^2 / k_odd,
-        t = k_odd^2 / omega,     d = g k_odd,     p = t / k_odd.
-    """
-
-    lam: Optional[complex] = None
-    omega: Optional[complex] = None
-    k_odd: Optional[complex] = None
-    g: Optional[complex] = None
-    t: Optional[complex] = None
-    d: Optional[complex] = None
-    p: Optional[complex] = None
-
-
-def chain_from_abc(a: float, b: float, c: float) -> DerivedParams:
-    """Populate the derived chain from the (a, b, c) parametrization.
-
-    omega is defined through a + i b = i omega.
-    """
-    a = _finite_real(a, "a")
-    b = _finite_real(b, "b")
-    c = _finite_real(c, "c")
-    s = complex(a, b)
-    omega = -1j * s            # a + i b = i omega
-    if omega == 0:
-        raise ZeroOmegaError("a + i b must be nonzero")
-    k_odd = complex(2.0 * c + 1.0)
-    if k_odd == 0:
-        raise InvalidModelError("2c + 1 must be nonzero")
-    g = omega * omega / k_odd
-    t = k_odd * k_odd / omega
-    d = g * k_odd
-    p = t / k_odd
-    return DerivedParams(lam=None, omega=omega, k_odd=k_odd, g=g, t=t, d=d, p=p)
-
-
-def morse_nonpt_from_abc(a: float, b: float, c: float,
-                         units: UnitSystem = DEFAULT_UNITS) -> tuple[MorseNonPT, DerivedParams]:
-    """Build the complex-coefficient Morse model from (a, b, c).
-
-    Requires the chain to land on real (d, p), which happens exactly when
-    a = 0; otherwise the compact two-parameter form does not exist.
-    """
-    chain = chain_from_abc(a, b, c)
-    d, p = chain.d, chain.p
-    if abs(d.imag) > 1e-12 * max(1.0, abs(d)) or abs(p.imag) > 1e-12 * max(1.0, abs(p)):
-        raise InvalidModelError("chain produces complex (d, p); the compact form needs a = 0")
-    model = MorseNonPT(d=d.real, p=p.real)
-    return model, replace(chain, lam=model.lam(units))
-

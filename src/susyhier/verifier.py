@@ -2,22 +2,25 @@
 
 Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
 wells go through LAPACK's tridiagonal bisection in the OpenBLAS that numpy
-has loaded (`_eigh_tridiagonal`), so they never import scipy; complex-valued
-wells import it to be solved with the general eigensolver.
+has loaded (`_eigh_tridiagonal`), so they never import scipy.
 Convergence is certified by comparing spacings h and h/2 and reporting the
 Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only, and
 for a complex well it runs LAPACK's Hessenberg QR (`zhseqr`) on H directly
 (`_hessenberg_eigvals`): H is already tridiagonal, so the balancing and the
 Hessenberg reduction that `zgeev` runs first leave it unchanged, and the
-result is bit for bit `zgeev`'s.  The
+result is bit for bit `zgeev`'s.  `zhseqr` comes from the OpenBLAS file that
+scipy's wheel bundles, opened by path, so that solve imports no scipy
+either; without that file it falls back to `scipy.linalg.eigvals`.  The
 reality scan needs only the states below the continuum and solves for those
-alone (`_states_below`), and runs its Arnoldi solve on one BLAS thread
-(`_one_blas_thread`).
+alone (`_states_below`) with scipy's dense and Arnoldi solvers, and runs
+its Arnoldi solve on one BLAS thread (`_one_blas_thread`).
 """
 from __future__ import annotations
 
 import ctypes
 import functools
+import glob
+import importlib.util
 import math
 import os
 import threading
@@ -112,30 +115,43 @@ class NumericSpectrum:
     richardson_delta: float
 
 
-def _ref(value, kind=ctypes.c_int):
+def _ref(value, kind):
     return ctypes.byref(kind(value))
+
+
+def _scipy_openblas_paths() -> list:
+    """The OpenBLAS files that scipy's wheel bundles in `scipy.libs`, beside
+    scipy's package directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return []
+    site = os.path.dirname(os.path.abspath(spec.submodule_search_locations[0]))
+    return glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
 
 
 @functools.lru_cache(maxsize=None)
 def _zhseqr():
-    """LAPACK's zhseqr as a ctypes function, or None where scipy does not export it.
+    """(zhseqr, zgeev, integer type) from scipy's bundled OpenBLAS, or None
+    where that file or its routines are missing.
 
-    scipy.linalg.lapack wraps zgeev but not zhseqr, so it is taken from the
-    function capsules of scipy.linalg.cython_lapack.
+    scipy.linalg.eigvals runs zgeev in that library.  numpy's OpenBLAS
+    exports zhseqr too, but it is another OpenBLAS version, whose roundoff
+    differs from eigvals'.
     """
-    from scipy.linalg import cython_lapack
-    capsule = getattr(cython_lapack, "__pyx_capi__", {}).get("zhseqr")
-    if capsule is None:
-        return None
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    int_p, ptr = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    # job, compz, n, ilo, ihi, h, ldh, w, z, ldz, work, lwork, info
-    signature = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, int_p,
-                                 ptr, int_p, ptr, ptr, int_p, ptr, int_p, int_p)
-    return signature(get_pointer(capsule, get_name(capsule)))
+    return _lapack_routines(_open_libraries(_scipy_openblas_paths()),
+                            (("zhseqr", 13), ("zgeev", 14)))
+
+
+def _zgeev_lwork(zgeev, int_t, h: np.ndarray) -> int:
+    """The workspace size that eigvals gives zgeev for the eigenvalues of the
+    N x N h: zgeev's own workspace query (lwork = -1), which reads no array."""
+    n = h.shape[0]
+    one = np.zeros(1, dtype=complex)  # every array but h; the query writes the size to work[0]
+    info = int_t(0)
+    zgeev(b"N", b"N", _ref(n, int_t), h.ctypes, _ref(n, int_t), one.ctypes, one.ctypes,
+          _ref(1, int_t), one.ctypes, _ref(1, int_t), one.ctypes, _ref(-1, int_t), one.ctypes,
+          ctypes.byref(info))
+    return int(one[0].real)
 
 
 def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
@@ -148,30 +164,31 @@ def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
     column: balancing permutes nothing (ilo = 1, ihi = N) and scales by 1,
     and the reduction finds every Householder tau = 0.  Both steps leave H
     as it is, and zhseqr is called here on H with the same ilo, ihi and
-    workspace size as zgeev gives it; the workspace sets zhseqr's number of
-    shifts, so its own workspace query would change the roundoff.  Where
-    zgeev would scale H first (max |H| out of range) or could permute it (a
-    zero off-diagonal), where H is not finite (eigvals raises ValueError)
-    and where zhseqr is not exported, eigvals runs.
+    workspace size as zgeev gives it (`lwork` from zgeev's own workspace
+    query, as eigvals asks); the workspace sets zhseqr's number of shifts,
+    so zhseqr's own workspace query would change the roundoff.  Where zgeev
+    would scale H first (max |H| out of range) or could permute it (a zero
+    off-diagonal), where H is not finite (eigvals raises ValueError) and
+    where scipy's OpenBLAS is not found (`_zhseqr`), eigvals runs.
     """
-    from scipy.linalg import eigvals
-    from scipy.linalg.lapack import zgeev_lwork
     n = ham.dimension
-    zhseqr = _zhseqr()
+    lapack = _zhseqr()
     # NaN fails the range test too, so a non-finite H reaches eigvals' check
     anrm = np.abs(ham.diagonal).max(initial=abs(ham.off_diagonal))
-    if (zhseqr is None or ham.off_diagonal == 0
+    if (lapack is None or ham.off_diagonal == 0
             or not ZGEEV_SMLNUM <= anrm <= 1.0 / ZGEEV_SMLNUM):
+        from scipy.linalg import eigvals
         return eigvals(ham.dense(), overwrite_a=True)
-    lwork = int(zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+    zhseqr, zgeev, int_t = lapack
     h = ham.dense()  # Fortran-ordered complex N x N, overwritten by zhseqr
+    lwork = _zgeev_lwork(zgeev, int_t, h)
     w = np.empty(n, dtype=complex)
     work = np.empty(lwork, dtype=complex)
     z = np.empty(1, dtype=complex)  # not referenced with compz = 'N'
-    info = ctypes.c_int(0)
-    zhseqr(b"E", b"N", _ref(n), _ref(1), _ref(n), h.ctypes.data, _ref(n),
-           w.ctypes.data, z.ctypes.data, _ref(1), work.ctypes.data, _ref(lwork),
-           ctypes.byref(info))
+    info = int_t(0)
+    zhseqr(b"E", b"N", _ref(n, int_t), _ref(1, int_t), _ref(n, int_t), h.ctypes,
+           _ref(n, int_t), w.ctypes, z.ctypes, _ref(1, int_t), work.ctypes,
+           _ref(lwork, int_t), ctypes.byref(info))
     if info.value != 0:
         raise LinAlgError(f"eig algorithm (zhseqr) did not converge (info = {info.value})")
     return w
@@ -196,6 +213,15 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     return vals[order], vecs[:, order]
 
 
+def _open_libraries(paths) -> list:
+    """The files among paths that load, as ctypes libraries in path order."""
+    libs = []
+    for path in sorted(paths):
+        with suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    return libs
+
+
 def _loaded_openblas() -> list:
     """Every OpenBLAS mapped into this process (numpy and scipy may each load
     their own) as ctypes libraries in path order; empty without /proc/self/maps."""
@@ -205,15 +231,24 @@ def _loaded_openblas() -> list:
                      if len(f) == 6 and "openblas" in os.path.basename(f[5])}
     except OSError:
         return []
-    libs = []
-    for path in sorted(paths):
-        with suppress(OSError):
-            libs.append(ctypes.CDLL(path))
-    return libs
+    return _open_libraries(paths)
 
 
-# dstebz and dstein in the OpenBLAS of numpy and scipy wheels, and their integer type
+# LAPACK routine names in the OpenBLAS of numpy and scipy wheels, and their integer type
 _LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("scipy_{}_", ctypes.c_int32))
+
+
+def _lapack_routines(libs: list, routines: Sequence[tuple[str, int]]):
+    """(routine, ..., integer type) from the first library in libs that exports
+    every (name, number of arguments) in routines, or None."""
+    for lib in libs:
+        for name, int_t in _LAPACK_SYMBOLS:
+            found = [getattr(lib, name.format(r), None) for r, _ in routines]
+            if None not in found:
+                for routine, (_, n_args) in zip(found, routines):
+                    routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
+                return (*found, int_t)
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,14 +256,7 @@ def _stebz_stein():
     """(dstebz, dstein, integer type) of the first loaded OpenBLAS that exports
     both, or None.  numpy's wheels bundle one with LAPACK, mapped at
     `import numpy`; a library once loaded stays, so the answer is cached."""
-    for lib in _loaded_openblas():
-        for name, int_t in _LAPACK_SYMBOLS:
-            routines = [getattr(lib, name.format(r), None) for r in ("dstebz", "dstein")]
-            if None not in routines:
-                for routine, n_args in zip(routines, (18, 13)):
-                    routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
-                return (*routines, int_t)
-    return None
+    return _lapack_routines(_loaded_openblas(), (("dstebz", 18), ("dstein", 13)))
 
 
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
@@ -574,8 +602,8 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
         if i in assignment:
             e = complex(num.eigenvalues[assignment[i]])
             err = abs(r.energy - e)
-            pairs.append(MatchedPair(record=r, numeric=e, abs_err=err,
-                                     rel_err=err / max(abs(r.energy), 1e-300)))
+            rel = err / abs(r.energy) if r.energy != 0 else float("nan")
+            pairs.append(MatchedPair(record=r, numeric=e, abs_err=err, rel_err=rel))
             matched_n.add(assignment[i])
         else:
             unmatched_a.append(r)

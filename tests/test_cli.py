@@ -120,6 +120,17 @@ def test_verify_mismatch_exit_code(tmp_path, capsys):
     assert "converged = true" in out
 
 
+def test_verify_rel_err_is_nan_at_zero_energy(tmp_path, capsys):
+    # the one admissible level is E = 0, paired with a box state above it
+    cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n\n"
+                              "[grid]\nn_points = 1001\n")
+    assert main(["verify", "--config", cfg]) == 3
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("0,0,")]
+    assert len(rows) == 1
+    cells = rows[0].split(",")
+    assert cells[:4] == ["0", "0", "0.0", "0.0"]
+    assert float(cells[6]) > 1e-3 and cells[7] == "nan"
+
 
 def test_verify_pairs_each_hierarchy_depth_on_its_own(tmp_path, capsys):
     # the depth-1 levels -12.25, -6.25, -2.25 are V's levels from index 1 up;

@@ -1,10 +1,15 @@
 """The complex eigenvalue-only solve: zhseqr on H, without zgeev's no-op preprocessing."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import LinAlgError, eigvals
-from scipy.linalg.lapack import zgebal, zgehrd, zgehrd_lwork
+from scipy.linalg.lapack import zgebal, zgeev_lwork, zgehrd, zgehrd_lwork
 
+import susyhier
 from susyhier import (DiscretizedHamiltonian, Grid, MorsePT1, MorsePT2, PoschlTeller,
                       PoschlTellerPT, UnitSystem, build_hamiltonian, eigen_spectrum)
 from susyhier import verifier as verifier_mod
@@ -61,11 +66,47 @@ def test_zgeev_preprocessing_leaves_h_unchanged(name, n_points):
     assert info == 0 and np.all(tau == 0)
 
 
+FRESH_PROBE = f"""
+import sys
+import numpy as np
+from susyhier import Grid, MorsePT1, MorsePT2, PoschlTeller, PoschlTellerPT, build_hamiltonian
+from susyhier.verifier import _hessenberg_eigvals
+solved = []
+for model, window in {list(WELLS.values())!r}:
+    ham = build_hamiltonian(model, Grid(*window, 201))
+    solved.append((ham, _hessenberg_eigvals(ham)))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+from scipy.linalg import eigvals
+for ham, vals in solved:
+    assert np.array_equal(vals, eigvals(ham.dense())), ham
+"""
+
+
+def test_fresh_process_solve_is_bitwise_eigvals_without_scipy():
+    # the tests above import scipy.linalg first, so they cannot tell which
+    # OpenBLAS zhseqr came from; numpy's differs from eigvals at N = 199
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(susyhier.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n", [99, 199, 599, 1199])
+def test_workspace_query_is_zgeev_lwork(n):
+    _, zgeev, int_t = verifier_mod._zhseqr()
+    h = np.zeros((n, n), dtype=complex, order="F")
+    expected = int(zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+    assert verifier_mod._zgeev_lwork(zgeev, int_t, h) == expected
+
+
 def test_zhseqr_failure_raises_linalg_error(monkeypatch):
     def failing(*args):
         args[-1]._obj.value = 1  # info
 
-    monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: failing)
+    _, zgeev, int_t = verifier_mod._zhseqr()
+    monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: (failing, zgeev, int_t))
     ham = _hamiltonian("morse_pt2", 101)
     with pytest.raises(LinAlgError, match="did not converge"):
         eigen_spectrum(ham, 5, vectors=False)
@@ -118,3 +159,22 @@ def test_missing_zhseqr_falls_back_to_eigvals(monkeypatch):
     calls = _recording_eigvals(monkeypatch)
     assert np.array_equal(verifier_mod._hessenberg_eigvals(ham), expected)
     assert calls == [(99, 99)]
+
+
+@pytest.fixture
+def fresh_loader():
+    """_zhseqr's cache emptied before the test and again after it."""
+    verifier_mod._zhseqr.cache_clear()
+    yield
+    verifier_mod._zhseqr.cache_clear()
+
+
+@pytest.mark.parametrize("paths", [[], [__file__]], ids=["no-file", "not-a-library"])
+def test_scipy_openblas_not_found_falls_back_to_eigvals(paths, fresh_loader, monkeypatch):
+    monkeypatch.setattr(verifier_mod, "_scipy_openblas_paths", lambda: paths)
+    assert verifier_mod._zhseqr() is None
+    ham = _hamiltonian("morse_pt1", 201)
+    expected = eigvals(ham.dense())
+    calls = _recording_eigvals(monkeypatch)
+    assert np.array_equal(verifier_mod._hessenberg_eigvals(ham), expected)
+    assert calls == [(199, 199)]

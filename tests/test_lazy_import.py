@@ -1,6 +1,7 @@
 """The closed-form layer and the CLI start without numpy or scipy: the
 closed-form commands and a rejected config never load numpy, array code
-imports it when first used, and a real well is verified without scipy.
+imports it when first used, and real and complex wells are verified
+without scipy.
 
 Each check runs in a fresh interpreter, because the test process has long
 imported the verifier by the time this file runs.
@@ -143,8 +144,8 @@ def test_real_well_commands_leave_scipy_unloaded(command, tmp_path, request):
     assert _loaded_after(tmp_path, (command, REAL_WELL)) == set()
 
 
-def test_complex_verify_loads_no_arpack(tmp_path):
-    assert _loaded_after(tmp_path, ("verify", COMPLEX_WELL)) == {"scipy", "scipy.linalg"}
+def test_complex_verify_leaves_scipy_unloaded(tmp_path):
+    assert _loaded_after(tmp_path, ("verify", COMPLEX_WELL)) == set()
 
 
 def test_scan_loads_dense_and_arnoldi_solvers(tmp_path):

@@ -24,11 +24,6 @@ from susyhier import (
     reality_condition,
     symmetric_grid,
 )
-from susyhier.potentials import (
-    chain_from_abc,
-    morse_nonpt_from_abc,
-    pt_reflect,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +194,6 @@ def test_classification_stable_under_refinement():
         assert classify_symmetry(m, GRID) is classify_symmetry(m, GRID.refined())
 
 
-def test_pt_reflect_matches_potential_for_pt_instances():
-    x = np.linspace(-4.0, 4.0, 57)
-    for m in (MorsePT1(16.0, 12.0), MorsePT2(2.0, 3.0, 1.0), PoschlTellerPT(4.0, 0.5, 1.0)):
-        assert np.max(np.abs(pt_reflect(m, x) - eval_potential(m, x))) < 1e-12
-
-
-def test_pt_reflect_of_non_pt_instance():
-    m = MorseNonPT(9.0, 2.0)
-    assert pt_reflect(m, 0.0) == pytest.approx(-9.0 + 18.0j)
-    assert pt_reflect(m, 0.0) != pytest.approx(eval_potential(m, 0.0))
-
-
 def test_structurally_hermitian():
     assert MorseGeneral(25.0, 50.0, 1.0).structurally_hermitian()
     assert PoschlTeller(6.0, 1.0, 1.0).structurally_hermitian()
@@ -268,37 +251,6 @@ def test_lam_unsupported_families():
         MorsePT2(2.0, 3.0, 1.0).lam(DEFAULT_UNITS)
     with pytest.raises(UnsupportedFamilyError):
         PoschlTeller(6.0, 1.0, 1.0).lam(DEFAULT_UNITS)
-
-
-def test_chain_from_abc_identities():
-    ch = chain_from_abc(0.0, 3.0, 2.5)
-    assert ch.omega == pytest.approx(3.0)
-    assert ch.k_odd == pytest.approx(6.0)
-    assert ch.g == pytest.approx(1.5)
-    assert ch.t == pytest.approx(12.0)
-    assert ch.d == pytest.approx(9.0)
-    assert ch.p == pytest.approx(2.0)
-    # generic complex case keeps the defining relations exactly
-    ch = chain_from_abc(1.25, -0.75, 0.4)
-    s = complex(1.25, -0.75)
-    assert ch.omega * 1j == pytest.approx(s)
-    assert ch.g * ch.k_odd == pytest.approx(ch.omega**2)
-    assert ch.t * ch.omega == pytest.approx(ch.k_odd**2)
-    assert ch.d == pytest.approx(ch.g * ch.k_odd)
-    assert ch.p * ch.k_odd == pytest.approx(ch.t)
-
-
-def test_chain_from_abc_rejects_zero_omega():
-    with pytest.raises(ZeroOmegaError):
-        chain_from_abc(0.0, 0.0, 1.0)
-
-
-def test_morse_nonpt_from_abc():
-    model, chain = morse_nonpt_from_abc(0.0, 3.0, 2.5)
-    assert model == MorseNonPT(9.0, 2.0)
-    assert chain.lam == pytest.approx(3.0)
-    with pytest.raises(InvalidModelError):
-        morse_nonpt_from_abc(1.0, 3.0, 2.5)  # complex chain, no compact form
 
 
 def test_exponential_coefficients():
