@@ -1,12 +1,14 @@
 """Golden bytes of the closed-form layer in both hierarchy modes.
 
-Pins, for each of the six families: `spectrum` stdout, stderr and exit code
-(n_max = 3, l_max = 1), the ground energies of `hierarchy(model, 2, mode)`,
+Pins, for each of the six families and for `poschl_teller` with pure-imaginary
+V0 and q (a compact kernel of its own): `spectrum` stdout, stderr and exit
+code (n_max = 3, l_max = 1), the ground energies of `hierarchy(model, 2, mode)`,
 and `riccati_residual` at l = 0..2, including the UnsupportedFamilyError
 message where self-consistent mode is refused; then V and the ground state
-of `groundstate_wavefunction` at l = 0 and 1 in both modes, sampled on a
-17-point grid over the family's window, or the error line where the call
-raises.  The golden file is fixed;
+of `groundstate_wavefunction` in both modes, at l = 0 and 1 (and 2 for the
+rational wells, whose ground state raises a base to the power l + 1),
+sampled on a 17-point grid over the family's window, or the error line where
+the call raises.  The golden file is fixed;
 regenerate it only for a deliberate change of output, with
 
     PYTHONPATH=src python tests/test_closed_form_golden.py
@@ -25,13 +27,15 @@ from susyhier.config import load_config
 
 GOLDEN = Path(__file__).parent / "data" / "closed_form_golden.txt"
 
+# (label in the golden file, family, parameters)
 FAMILIES = [
-    ("morse_general", "v1 = 25\nv2 = 50"),
-    ("morse_nonpt", "d = 9\np = 2"),
-    ("morse_pt1", "v1 = 16\nv2 = 12"),
-    ("morse_pt2", "omega = 2\nd = 3"),
-    ("poschl_teller", "v0 = 6\nq = 1"),
-    ("poschl_teller_pt", "v0 = 4\nq = 0.5"),
+    ("morse_general", "morse_general", "v1 = 25\nv2 = 50"),
+    ("morse_nonpt", "morse_nonpt", "d = 9\np = 2"),
+    ("morse_pt1", "morse_pt1", "v1 = 16\nv2 = 12"),
+    ("morse_pt2", "morse_pt2", "omega = 2\nd = 3"),
+    ("poschl_teller", "poschl_teller", "v0 = 6\nq = 1"),
+    ("poschl_teller_pt", "poschl_teller_pt", "v0 = 4\nq = 0.5"),
+    ("poschl_teller-imaginary", "poschl_teller", "v0 = 2i\nq = 0.7i"),
 ]
 RESIDUAL_POINTS = 201
 SAMPLE_POINTS = 17
@@ -43,8 +47,8 @@ def _error(exc: SusyhierError) -> str:
 
 def render(workdir: Path) -> str:
     out = []
-    for family, params in FAMILIES:
-        path = workdir / f"{family}.ini"
+    for label, family, params in FAMILIES:
+        path = workdir / f"{label}.ini"
         path.write_text(f"[model]\nfamily = {family}\n{params}\n\n"
                         "[run]\nn_max = 3\nl_max = 1\n", encoding="utf-8")
         model = load_config(str(path)).model
@@ -54,32 +58,33 @@ def render(workdir: Path) -> str:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(["spectrum", "--config", str(path), "--mode", token])
-            out += [f"== spectrum {family} {token}", f"exit {code}",
+            out += [f"== spectrum {label} {token}", f"exit {code}",
                     "-- stdout", stdout.getvalue().rstrip("\n"),
                     "-- stderr", stderr.getvalue().rstrip("\n")]
             try:
                 e0 = repr([lv.e0 for lv in hierarchy(model, 2, mode)])
             except SusyhierError as exc:
                 e0 = _error(exc)
-            out += [f"== hierarchy {family} {token} l_max=2", e0]
+            out += [f"== hierarchy {label} {token} l_max=2", e0]
             for l in range(3):
                 try:
                     rep = riccati_residual(model, l, grid, mode=mode)
                     line = f"{rep.e0!r},{rep.max_abs_residual!r},{rep.argmax_x!r}"
                 except SusyhierError as exc:
                     line = _error(exc)
-                out += [f"== riccati_residual {family} {token} l={l}", line]
+                out += [f"== riccati_residual {label} {token} l={l}", line]
         samples = Grid(*model.window, SAMPLE_POINTS)
-        out += [f"== evaluate {family}", repr(model.evaluate(samples.points()).tolist())]
+        depths = range(3 if family.startswith("poschl_teller") else 2)
+        out += [f"== evaluate {label}", repr(model.evaluate(samples.points()).tolist())]
         for mode in Mode:
             token = mode.value.replace("_", "-")
-            for l in range(2):
+            for l in depths:
                 try:
                     line = repr(groundstate_wavefunction(model, l, samples,
                                                          mode=mode).values.tolist())
                 except SusyhierError as exc:
                     line = _error(exc)
-                out += [f"== groundstate {family} {token} l={l}", line]
+                out += [f"== groundstate {label} {token} l={l}", line]
     return "\n".join(out) + "\n"
 
 
