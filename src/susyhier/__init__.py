@@ -19,7 +19,7 @@ from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTel
                          PoschlTellerPT, PotentialModel, SpectrumFormula, SymmetryClass,
                          classify_symmetry, energy_morse_complex, energy_morse_general,
                          energy_morse_shifted, energy_poschl_teller, ensure_no_pole,
-                         eval_potential, poschl_teller_imag_form, reality_condition)
+                         eval_potential, reality_condition)
 from .expressions import (DerivativeScale, ExpTerm, RationalPartner, RationalTerm,
                           SuperpotentialExpr, exp_sum, riccati_apply)
 from .hierarchy import (HierarchyLevel, Mode, RiccatiResidualReport,
@@ -53,7 +53,7 @@ __all__ = [
     "UnitSystem", "DEFAULT_UNITS", "Grid", "symmetric_grid",
     "MorseGeneral", "MorseNonPT", "MorsePT1", "MorsePT2", "PoschlTeller",
     "PoschlTellerPT", "PotentialModel", "SymmetryClass", "classify_symmetry",
-    "ensure_no_pole", "eval_potential", "poschl_teller_imag_form", "reality_condition",
+    "ensure_no_pole", "eval_potential", "reality_condition",
     "ExpTerm", "RationalTerm", "RationalPartner", "SuperpotentialExpr", "exp_sum",
     "DerivativeScale", "riccati_apply",
     "Mode", "HierarchyLevel", "SelfConsistentSolution", "RiccatiResidualReport",

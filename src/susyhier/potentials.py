@@ -12,6 +12,8 @@ optional), default window, rate, formulas, admissibility, pole check and
 ground state.  Callers ask the instance for those facts through its methods.
 The exponential wells state V and their literal ansatz once each, and
 `TwoTermAnsatz` and `_Exponential` derive V, W and the ground state from them.
+The rational wells state V and their kernel term once each, and `_Rational`
+derives W, the partner and the ground state from the term.
 """
 from __future__ import annotations
 
@@ -313,8 +315,9 @@ class MorsePT2(_Exponential):
 class _Rational(_Family):
     """The two rational wells, V = -4 V0 u / (1 + q u)^2 with u = e^{-2 rate x}.
 
-    Each supplies `_kernel()`, the unit-strength rational factor of W, and
-    `_base(x)`, which its ground state raises to the power l + 1.
+    Each states `_term()` -> (c, k, p): W_l is a constant plus a multiple of
+    the unit-strength kernel c u_p / (1 + k u_p)^2 with u_p = e^{-p rate x},
+    and the ground state raises the kernel's base 1 + k u_p to the power l + 1.
     """
 
     formula = SpectrumFormula.POSCHL_TELLER
@@ -331,28 +334,35 @@ class _Rational(_Family):
         return -4.0 * self.v0 * u / (denom * denom)
 
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
-        return energy_poschl_teller(self.q, units, n, l), admissible_poschl_teller(units, n, l)
+        """A bound state iff |bracket| strictly decreases step by step up to n.
+
+        The bracket is symmetric under (n+l+1) <-> 2/(beta (n+l+1)); the
+        mirror level duplicates an energy and is flagged inadmissible here.
+        """
+        brackets = [abs(_pt_bracket(m, l, units.beta)) for m in range(n + 1)]
+        return (energy_poschl_teller(self.q, units, n, l),
+                all(cur < prev for prev, cur in zip(brackets, brackets[1:])))
 
     def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
-        kernel = self._kernel()
+        c, k, p = self._term()
         strength = -units.hbar / math.sqrt(2.0 * units.mass) * (l + 1)
-        term = kernel.rational_terms[0]
-        scaled = RationalTerm(strength * term.coeff, term.q, term.power)
         # sqrt(m/2) (e^2/hbar) [1/(l+1) - (l+1) beta/2]
         const = ExpTerm(math.sqrt(units.mass / 2.0) * units.e_sq / units.hbar
                         * _pt_bracket(0, l, units.beta), 0)
-        return SuperpotentialExpr(kernel.rate, (const,), (scaled,))
+        return SuperpotentialExpr(self.rate, (const,), (RationalTerm(strength * c, k, p),))
 
     def partner(self, l: int, units: UnitSystem) -> RationalPartner:
         ll1 = l * (l + 1)
         sq = units.kinetic * ll1
         lin = -units.e_sq * (1.0 - ll1 * units.beta / 2.0)
-        return RationalPartner(kernel=self._kernel(), lin=lin, sq=sq)
+        kernel = SuperpotentialExpr(self.rate, (), (RationalTerm(*self._term()),))
+        return RationalPartner(kernel=kernel, lin=lin, sq=sq)
 
     def groundstate(self, l: int, x: np.ndarray, units: UnitSystem) -> np.ndarray:
         import numpy as np
+        _, k, p = self._term()  # plain numbers: a real k keeps the base real
         c = (units.mass * units.e_sq / units.hbar**2) * _pt_bracket(0, l, units.beta)
-        return self._base(x) ** (l + 1) * np.exp(-c * x)
+        return (1.0 + k * np.exp(-p * self.rate * x)) ** (l + 1) * np.exp(-c * x)
 
 
 @dataclass(frozen=True)
@@ -379,23 +389,12 @@ class PoschlTeller(_Rational):
             if x_min <= x_pole <= x_max:
                 raise PoleOnDomainError(f"denominator zero at x = {x_pole:.6g} inside the domain")
 
-    @property
-    def _imag_form(self) -> bool:
-        """Pure-imaginary V0 and q take the compact form of `poschl_teller_imag_form`."""
-        return self.v0.real == 0.0 and self.q.real == 0.0 and self.q.imag != 0.0
-
-    def _kernel(self) -> SuperpotentialExpr:
-        if self._imag_form:
+    def _term(self) -> tuple[complex, complex, int]:
+        if self.v0.real == 0.0 and self.q.real == 0.0 and self.q.imag != 0.0:
+            # pure-imaginary V0 and q: the compact literal kernel in e^{-4 alpha x}
             qi = self.q.imag
-            term = RationalTerm(qi, qi * qi, power=4)
-            return SuperpotentialExpr(self.rate, (), (term,))
-        return SuperpotentialExpr(self.rate, (), (RationalTerm(1.0, self.q, power=2),))
-
-    def _base(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
-        if self._imag_form:
-            return 1.0 + self.q.imag**2 * np.exp(-4.0 * self.rate * x)
-        return 1.0 + self.q * np.exp(-2.0 * self.rate * x)
+            return qi, qi * qi, 4
+        return 1.0, self.q, 2
 
 
 @dataclass(frozen=True)
@@ -425,13 +424,8 @@ class PoschlTellerPT(_Rational):
             if offset + k_min * period <= x_max + 1e-12:
                 raise PoleOnDomainError("unit-modulus q places denominator zeros inside the domain")
 
-    def _kernel(self) -> SuperpotentialExpr:
-        term = RationalTerm(self.q, self.q**2, power=4)
-        return SuperpotentialExpr(self.rate, (), (term,))
-
-    def _base(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
-        return 1.0 + self.q**2 * np.exp(-4.0 * self.rate * x)
+    def _term(self) -> tuple[float, float, int]:
+        return self.q, self.q**2, 4
 
 
 PotentialModel = Union[MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller, PoschlTellerPT]
@@ -461,7 +455,7 @@ def ensure_no_pole(model: PotentialModel, x_min: float, x_max: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# closed-form levels and admissibility, as functions of numbers only
+# closed-form levels, as functions of numbers only
 # ---------------------------------------------------------------------------
 
 def energy_morse_general(lam: complex, q: complex, n: int, l: int) -> complex:
@@ -494,22 +488,6 @@ def energy_poschl_teller(q: complex, units: UnitSystem, n: int, l: int) -> compl
     scale = units.mass * units.e_sq**2 / (2.0 * units.hbar**2)
     b = _pt_bracket(n, l, units.beta)
     return -(q * q) * scale * b * b
-
-
-def admissible_poschl_teller(units: UnitSystem, n: int, l: int) -> bool:
-    """Monotone-energy prefix rule: |bracket| must strictly decrease step by step up to n.
-
-    The bracket is symmetric under (n+l+1) <-> 2/(beta (n+l+1)); the mirror
-    level duplicates an energy and is flagged inadmissible here.
-    """
-    beta = units.beta
-    prev = abs(_pt_bracket(0, l, beta))
-    for m in range(1, n + 1):
-        cur = abs(_pt_bracket(m, l, beta))
-        if not cur < prev:
-            return False
-        prev = cur
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -553,19 +531,3 @@ def reality_condition(v0: complex, q: complex) -> bool:
     lhs = v0.imag * q.real
     rhs = v0.real * q.imag
     return math.isclose(lhs, rhs, rel_tol=REALITY_RTOL, abs_tol=0.0)
-
-
-def poschl_teller_imag_form(v0_im: float, q_im: float, alpha: float, x):
-    """Compact closed form of the rational well with pure-imaginary V0 = i v0_im, q = i q_im.
-
-    Algebraically identical to evaluating the standard rational form with the
-    imaginary parameters:
-
-        V(x) = -4 v0_im [2 q_im u^2 + i u (1 - q_im^2 u^2)] / (1 + q_im^2 u^2)^2,
-        u = e^{-2 alpha x}.
-    """
-    import numpy as np
-    u = np.exp(-2.0 * alpha * np.asarray(x, dtype=float))
-    denom = 1.0 + q_im**2 * u * u
-    num = 2.0 * q_im * u * u + 1j * u * (1.0 - q_im**2 * u * u)
-    return -4.0 * v0_im * num / (denom * denom)

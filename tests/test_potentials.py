@@ -20,7 +20,6 @@ from susyhier import (
     classify_symmetry,
     ensure_no_pole,
     eval_potential,
-    poschl_teller_imag_form,
     reality_condition,
     symmetric_grid,
 )
@@ -66,6 +65,8 @@ def test_poschl_teller_point_values():
     assert eval_potential(m, 0.0) == pytest.approx(-6.0)
     pt = PoschlTellerPT(4.0, 0.5, 1.0)
     assert eval_potential(pt, 0.0) == pytest.approx(-16.0 / 2.25)
+    # pure-imaginary V0 = i, q = i at x = 0: -4i/(1+i)^2 = -2
+    assert eval_potential(PoschlTeller(1j, 1j, 1.0), 0.0) == pytest.approx(-2.0 + 0.0j)
 
 
 def test_eval_is_vectorized():
@@ -206,7 +207,7 @@ def test_structurally_hermitian():
 
 
 # ---------------------------------------------------------------------------
-# reality condition and the compact imaginary-parameter form
+# reality condition
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("v0,q,expected", [
@@ -217,18 +218,6 @@ def test_structurally_hermitian():
 ])
 def test_reality_condition(v0, q, expected):
     assert reality_condition(v0, q) is expected
-
-
-def test_imag_form_matches_direct_evaluation():
-    v0_im, q_im, alpha = 2.0, 0.7, 1.0
-    model = PoschlTeller(1j * v0_im, 1j * q_im, alpha)
-    x = np.linspace(-3.0, 3.0, 101)
-    direct = eval_potential(model, x)
-    compact = poschl_teller_imag_form(v0_im, q_im, alpha, x)
-    assert np.max(np.abs(direct - compact)) < 1e-12
-    # single worked point: V0 = i, q = i at x = 0 gives -4i/(1+i)^2 = -2
-    assert poschl_teller_imag_form(1.0, 1.0, 1.0, 0.0) == pytest.approx(-2.0 + 0.0j)
-    assert eval_potential(PoschlTeller(1j, 1j, 1.0), 0.0) == pytest.approx(-2.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
