@@ -11,8 +11,8 @@ calls LAPACK in the OpenBLAS files bundled with numpy and scipy).
 import importlib
 
 from .errors import (ConfigError, DegenerateQuadraticError, GridTooCoarseError,
-                     InvalidModelError, NotNormalizableError, PoleOnDomainError,
-                     SusyhierError, UnsupportedFamilyError, ZeroOmegaError)
+                     InvalidModelError, NotConvergedError, NotNormalizableError,
+                     PoleOnDomainError, SusyhierError, UnsupportedFamilyError, ZeroOmegaError)
 from .units import DEFAULT_UNITS, UnitSystem
 from .grids import Grid, ScanAxis, symmetric_grid
 from .potentials import (MorseGeneral, MorseNonPT, MorsePT1, MorsePT2, PoschlTeller,
@@ -49,7 +49,7 @@ def __dir__():
 __all__ = [
     "SusyhierError", "InvalidModelError", "PoleOnDomainError", "ZeroOmegaError",
     "UnsupportedFamilyError", "DegenerateQuadraticError", "NotNormalizableError",
-    "GridTooCoarseError", "ConfigError",
+    "NotConvergedError", "GridTooCoarseError", "ConfigError",
     "UnitSystem", "DEFAULT_UNITS", "Grid", "symmetric_grid",
     "MorseGeneral", "MorseNonPT", "MorsePT1", "MorsePT2", "PoschlTeller",
     "PoschlTellerPT", "PotentialModel", "SymmetryClass", "classify_symmetry",

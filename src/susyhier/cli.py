@@ -3,8 +3,12 @@
     susyhier <spectrum|verify|scan|wavefunction> --config <path>
              [--out <path>] [--mode paper-literal|self-consistent]
 
-Exit codes: 0 success, 1 usage error, invalid config or model precondition,
-2 numerical non-convergence, 3 verification mismatch (Hermitian families only).
+Exit codes: 0 success; 1 usage error, invalid config, model precondition,
+or parameters and units whose arithmetic leaves floating-point range;
+2 numerical non-convergence (a Hermitian family's Richardson certificate,
+or an eigensolver); 3 verification mismatch (Hermitian families only).
+A failed run prints one `error:` line to stderr, except a usage error
+(argparse's message) and the certificate's exit 2 (its report on stdout).
 
 All data rows are serialized with shortest round-trip decimals so repeated
 runs on the same config are byte-identical; warnings go to stderr.
@@ -24,7 +28,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from .config import DEFAULT_POINTS, RunConfig, load_config
-from .errors import ConfigError, SusyhierError
+from .errors import ConfigError, NotConvergedError, SusyhierError
 from .hierarchy import Mode
 from .potentials import ensure_no_pole
 from .spectra import groundstate_wavefunction, spectrum_records
@@ -184,8 +188,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.mode is not None:
             cfg = replace(cfg, mode=_MODE_TOKENS[args.mode])
         text, warnings, code = _COMMANDS[args.command](cfg)
+    except NotConvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except SusyhierError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError from Python floats
+        print(f"error: out of floating-point range ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return EXIT_INVALID
     if args.out is None:
         try:

@@ -29,6 +29,10 @@ class NotNormalizableError(SusyhierError, ValueError):
     """The requested bound-state wavefunction fails the admissibility condition."""
 
 
+class NotConvergedError(SusyhierError, ValueError):
+    """An eigensolver's iteration (LAPACK) did not converge."""
+
+
 class GridTooCoarseError(SusyhierError, ValueError):
     """The grid has too few points for a meaningful discretization."""
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import PoleOnDomainError, InvalidModelError
+from .errors import InvalidModelError, NotConvergedError, PoleOnDomainError
 from .grids import Grid, ScanAxis
 from .potentials import (PoschlTeller, PotentialModel, ensure_no_pole, eval_potential,
                          reality_condition)
@@ -96,12 +96,19 @@ class DiscretizedHamiltonian:
 
 def build_hamiltonian(model: PotentialModel, grid: Grid,
                       units: UnitSystem = DEFAULT_UNITS) -> DiscretizedHamiltonian:
-    """H = -(hbar^2/2m) d^2/dx^2 + V with the 3-point stencil."""
+    """H = -(hbar^2/2m) d^2/dx^2 + V with the 3-point stencil.
+
+    Parameters or units beyond floating-point range, where V or the kinetic
+    term overflows, raise InvalidModelError rather than reach the solvers.
+    """
     ensure_no_pole(model, grid.x_min, grid.x_max)
     x = grid.points()[1:-1]
     t = units.kinetic / grid.h**2
-    v = np.asarray(eval_potential(model, x), dtype=complex)
-    return DiscretizedHamiltonian(grid=grid, diagonal=2.0 * t + v, off_diagonal=-t)
+    with np.errstate(all="ignore"):
+        diagonal = 2.0 * t + np.asarray(eval_potential(model, x), dtype=complex)
+    if not np.isfinite(diagonal).all():
+        raise InvalidModelError("V or hbar^2/(2m h^2) is not finite on this grid")
+    return DiscretizedHamiltonian(grid=grid, diagonal=diagonal, off_diagonal=-t)
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,18 @@ def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
     return w
 
 
+def _converges(solve):
+    """solve, with LAPACK's non-convergence (LinAlgError) raised as NotConvergedError."""
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except LinAlgError as exc:
+            raise NotConvergedError(str(exc)) from exc
+    return checked
+
+
+@_converges
 def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     """k lowest eigenvalues by (Re, Im) and, with vectors, their eigenvector
     columns (else None).  Without vectors a complex H goes straight to zhseqr
@@ -259,6 +278,7 @@ def _stebz_stein():
     return _lapack_routines(_loaded_openblas(), (("dstebz", 18), ("dstein", 13)))
 
 
+@_converges
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
                       vectors: bool):
     """(values, vectors or None) of the real tridiagonal (d, e), bit for bit as

@@ -1,11 +1,16 @@
+import contextlib
 import io
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyhier.cli import _COMMANDS, main
+from susyhier.potentials import FAMILIES
 
 DATA = Path(__file__).parent / "data"
 
@@ -415,3 +420,73 @@ def test_pole_on_domain_exits_1(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: denominator zero at x = -0.346574 inside the domain\n"
+
+
+# configs that parse but whose arithmetic leaves floating-point range: each
+# with the commands that must end in one `error:` line, and their exit code
+_OUT_OF_RANGE = {
+    # omega**2 overflows in V's coefficients
+    "A": ("[model]\nfamily = morse_pt2\nomega = 1e300\nd = -1\n", ["verify"], 1),
+    # alpha**2 underflows to 0 in lam
+    "B": ("[model]\nfamily = morse_general\nv1 = 3+4i\nv2 = 100\nalpha = 1e-300\n",
+          ["spectrum", "verify", "wavefunction"], 1),
+    # (1 + q u)^2 overflows, so V is not finite; q**2 overflows in psi0
+    "C": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n"
+          "\n[grid]\nn_points = 17\n", ["verify", "wavefunction"], 1),
+    # hbar^2/(2m h^2) near 1e198: LAPACK's bisection does not converge
+    "D": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1e300\n"
+          "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n", ["verify"], 2),
+    # the window is 4e301 wide, so h**2 overflows
+    "E": ("[model]\nfamily = poschl_teller_pt\nv0 = 3\nq = 2\nalpha = 1e-300\n"
+          "\n[grid]\nn_points = 16\n", ["verify"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_config_ends_in_one_error_line(tmp_path, capsys, case):
+    text, commands, code = _OUT_OF_RANGE[case]
+    cfg = write_cfg(tmp_path, text)
+    for command in commands:
+        assert main([command, "--config", cfg]) == code, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+_MAGNITUDES = st.sampled_from([0.0, 1e-300, 1e-150, 0.5, 1.0, 3.0, 25.0, 1e150, 1e300])
+_REALS = st.builds(lambda m, sign: sign * m, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
+_POSITIVE = st.sampled_from([1e-300, 1e-150, 0.1, 0.5, 1.0, 2.0, 1e150, 1e300])
+
+
+@st.composite
+def _extreme_configs(draw) -> str:
+    """A config that parses, with parameters and [units] from 1e-300 to 1e300."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    lines = ["[model]", f"family = {family}"]
+    for f in fields(FAMILIES[family]):
+        if f.name == "alpha":
+            value = repr(draw(_POSITIVE))
+        elif f.type == "complex":
+            re, im = draw(_REALS), draw(_REALS)
+            value = f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i"
+        else:
+            value = repr(draw(_REALS))
+        lines.append(f"{f.name} = {value}")
+    lines += ["[grid]", f"n_points = {draw(st.integers(16, 41))}", "[units]"]
+    lines += [f"{name} = {draw(_POSITIVE)!r}" for name in ("hbar", "mass", "e_sq")]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_extreme_configs(), command=st.sampled_from(["spectrum", "verify", "wavefunction"]),
+       mode=st.sampled_from(["paper-literal", "self-consistent"]))
+def test_extreme_configs_never_raise(text, command, mode):
+    """main() returns a documented exit code, and exit 1 comes with an `error:` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--mode", mode])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), err.getvalue()

@@ -10,8 +10,9 @@ from scipy.linalg import LinAlgError, eigvals
 from scipy.linalg.lapack import zgebal, zgeev_lwork, zgehrd, zgehrd_lwork
 
 import susyhier
-from susyhier import (DiscretizedHamiltonian, Grid, MorsePT1, MorsePT2, PoschlTeller,
-                      PoschlTellerPT, UnitSystem, build_hamiltonian, eigen_spectrum)
+from susyhier import (DiscretizedHamiltonian, Grid, MorsePT1, MorsePT2, NotConvergedError,
+                      PoschlTeller, PoschlTellerPT, UnitSystem, build_hamiltonian,
+                      eigen_spectrum)
 from susyhier import verifier as verifier_mod
 
 WELLS = {
@@ -101,15 +102,16 @@ def test_workspace_query_is_zgeev_lwork(n):
     assert verifier_mod._zgeev_lwork(zgeev, int_t, h) == expected
 
 
-def test_zhseqr_failure_raises_linalg_error(monkeypatch):
+def test_zhseqr_failure_raises_not_converged_error(monkeypatch):
     def failing(*args):
         args[-1]._obj.value = 1  # info
 
     _, zgeev, int_t = verifier_mod._zhseqr()
     monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: (failing, zgeev, int_t))
     ham = _hamiltonian("morse_pt2", 101)
-    with pytest.raises(LinAlgError, match="did not converge"):
+    with pytest.raises(NotConvergedError, match="did not converge") as raised:
         eigen_spectrum(ham, 5, vectors=False)
+    assert isinstance(raised.value.__cause__, LinAlgError)
 
 
 def test_non_finite_diagonal_raises_value_error_as_eigvals_does():
