@@ -194,9 +194,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SusyhierError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ArithmeticError as exc:  # OverflowError, ZeroDivisionError from Python floats
-        print(f"error: out of floating-point range ({type(exc).__name__}: {exc})",
-              file=sys.stderr)
+    except ArithmeticError as exc:  # Python float arithmetic: overflow, or division by 0
+        print(f"error: out of floating-point range ({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_INVALID
     if args.out is None:
         try:

@@ -339,9 +339,14 @@ class _Rational(_Family):
         The bracket is symmetric under (n+l+1) <-> 2/(beta (n+l+1)); the
         mirror level duplicates an energy and is flagged inadmissible here.
         """
-        brackets = [abs(_pt_bracket(m, l, units.beta)) for m in range(n + 1)]
-        return (energy_poschl_teller(self.q, units, n, l),
-                all(cur < prev for prev, cur in zip(brackets, brackets[1:])))
+        energy, beta = energy_poschl_teller(self.q, units, n, l), units.beta
+        prev = abs(_pt_bracket(0, l, beta))
+        for m in range(1, n + 1):
+            cur = abs(_pt_bracket(m, l, beta))
+            if not cur < prev:
+                return energy, False
+            prev = cur
+        return energy, True
 
     def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         c, k, p = self._term()

@@ -96,11 +96,8 @@ class DiscretizedHamiltonian:
 
 def build_hamiltonian(model: PotentialModel, grid: Grid,
                       units: UnitSystem = DEFAULT_UNITS) -> DiscretizedHamiltonian:
-    """H = -(hbar^2/2m) d^2/dx^2 + V with the 3-point stencil.
-
-    Parameters or units beyond floating-point range, where V or the kinetic
-    term overflows, raise InvalidModelError rather than reach the solvers.
-    """
+    """H = -(hbar^2/2m) d^2/dx^2 + V with the 3-point stencil; a diagonal
+    that overflows (parameters or units out of range) raises InvalidModelError."""
     ensure_no_pole(model, grid.x_min, grid.x_max)
     x = grid.points()[1:-1]
     t = units.kinetic / grid.h**2

@@ -476,7 +476,7 @@ def _extreme_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(text=_extreme_configs(), command=st.sampled_from(["spectrum", "verify", "wavefunction"]),
        mode=st.sampled_from(["paper-literal", "self-consistent"]))
 def test_extreme_configs_never_raise(text, command, mode):
