@@ -433,7 +433,7 @@ _OUT_OF_RANGE = {
     # (1 + q u)^2 overflows, so V is not finite; q**2 overflows in psi0
     "C": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n"
           "\n[grid]\nn_points = 17\n", ["verify", "wavefunction"], 1),
-    # hbar^2/(2m h^2) near 1e198: LAPACK's bisection does not converge
+    # hbar^2/(2m h^2) is about 3e197: LAPACK's bisection does not converge
     "D": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1e300\n"
           "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n", ["verify"], 2),
     # the window is 4e301 wide, so h**2 overflows
