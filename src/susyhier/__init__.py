@@ -6,7 +6,8 @@ evaluate arrays, and the finite-difference verifier loads on first use
 (PEP 562), so `import susyhier` and the closed-form commands load neither
 numpy nor the verifier; the verifier imports scipy for the reality scan
 and for a complex well's eigenvectors, so `verify` runs without scipy (it
-calls LAPACK in the OpenBLAS files bundled with numpy and scipy).
+calls LAPACK in the OpenBLAS files that the numpy and scipy wheels bundle
+in `numpy.libs` and `scipy.libs`, opened by path).
 """
 import importlib
 

@@ -1,16 +1,17 @@
 """Finite-difference cross-check of the closed-form spectra.
 
 Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
-wells go through LAPACK's tridiagonal bisection in the OpenBLAS that numpy
-has loaded (`_eigh_tridiagonal`), so they never import scipy.
+wells go through LAPACK's tridiagonal bisection in the OpenBLAS that numpy's
+wheel bundles (`_eigh_tridiagonal`), so they never import scipy.
 Convergence is certified by comparing spacings h and h/2 and reporting the
 Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only, and
 for a complex well it runs LAPACK's Hessenberg QR (`zhseqr`) on H directly
 (`_hessenberg_eigvals`): H is already tridiagonal, so the balancing and the
 Hessenberg reduction that `zgeev` runs first leave it unchanged, and the
 result is bit for bit `zgeev`'s.  `zhseqr` comes from the OpenBLAS file that
-scipy's wheel bundles, opened by path, so that solve imports no scipy
-either; without that file it falls back to `scipy.linalg.eigvals`.  The
+scipy's wheel bundles, so that solve imports no scipy either; without that
+file it falls back to `scipy.linalg.eigvals`.  Both files are opened by path
+beside the package that bundles them (`_bundled_openblas`).  The
 reality scan needs only the states below the continuum and solves for those
 alone (`_states_below`) with scipy's dense and Arnoldi solvers, and runs
 its Arnoldi solve on one BLAS thread (`_one_blas_thread`).
@@ -123,17 +124,22 @@ def _ref(value, kind):
     return ctypes.byref(kind(value))
 
 
-def _scipy_openblas_paths() -> list:
-    """The OpenBLAS files that scipy's wheel bundles in `scipy.libs`, beside
-    scipy's package directory, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return []
-    site = os.path.dirname(os.path.abspath(spec.submodule_search_locations[0]))
-    return glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
-
-
 @functools.lru_cache(maxsize=None)
+def _bundled_openblas(package: str) -> tuple:
+    """The OpenBLAS files that package's wheel bundles in `<package>.libs`,
+    beside its package directory, as ctypes libraries in path order; found
+    without importing the package, and without the files that do not load."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return ()
+    site = os.path.dirname(os.path.abspath(spec.submodule_search_locations[0]))
+    libs = []
+    for path in sorted(glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*.so"))):
+        with suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    return tuple(libs)
+
+
 def _zhseqr():
     """(zhseqr, zgeev, integer type) from scipy's bundled OpenBLAS, or None
     where that file or its routines are missing.
@@ -142,8 +148,7 @@ def _zhseqr():
     exports zhseqr too, but it is another OpenBLAS version, whose roundoff
     differs from eigvals'.
     """
-    return _lapack_routines(_open_libraries(_scipy_openblas_paths()),
-                            (("zhseqr", 13), ("zgeev", 14)))
+    return _lapack_routines(_bundled_openblas("scipy"), (("zhseqr", 13), ("zgeev", 14)))
 
 
 def _zgeev_lwork(zgeev, int_t, h: np.ndarray) -> int:
@@ -229,32 +234,11 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     return vals[order], vecs[:, order]
 
 
-def _open_libraries(paths) -> list:
-    """The files among paths that load, as ctypes libraries in path order."""
-    libs = []
-    for path in sorted(paths):
-        with suppress(OSError):
-            libs.append(ctypes.CDLL(path))
-    return libs
-
-
-def _loaded_openblas() -> list:
-    """Every OpenBLAS mapped into this process (numpy and scipy may each load
-    their own) as ctypes libraries in path order; empty without /proc/self/maps."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {f[5] for f in (line.rstrip("\n").split(maxsplit=5) for line in fh)
-                     if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    except OSError:
-        return []
-    return _open_libraries(paths)
-
-
 # LAPACK routine names in the OpenBLAS of numpy and scipy wheels, and their integer type
 _LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("scipy_{}_", ctypes.c_int32))
 
 
-def _lapack_routines(libs: list, routines: Sequence[tuple[str, int]]):
+def _lapack_routines(libs: Sequence, routines: Sequence[tuple[str, int]]):
     """(routine, ..., integer type) from the first library in libs that exports
     every (name, number of arguments) in routines, or None."""
     for lib in libs:
@@ -267,12 +251,11 @@ def _lapack_routines(libs: list, routines: Sequence[tuple[str, int]]):
     return None
 
 
-@functools.lru_cache(maxsize=None)
 def _stebz_stein():
-    """(dstebz, dstein, integer type) of the first loaded OpenBLAS that exports
-    both, or None.  numpy's wheels bundle one with LAPACK, mapped at
-    `import numpy`; a library once loaded stays, so the answer is cached."""
-    return _lapack_routines(_loaded_openblas(), (("dstebz", 18), ("dstein", 13)))
+    """(dstebz, dstein, integer type) from numpy's bundled OpenBLAS, or None
+    where that file or its routines are missing.  numpy's wheels (numpy 2
+    and later) export both with 64-bit integers."""
+    return _lapack_routines(_bundled_openblas("numpy"), (("dstebz", 18), ("dstein", 13)))
 
 
 @_converges
@@ -283,9 +266,9 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
 
     That runs LAPACK's bisection dstebz (abstol 0, ORDER 'E' for values only,
     else 'B' followed by inverse iteration dstein and an argsort); the same
-    calls go here to a loaded OpenBLAS (`_stebz_stein`), without scipy.
-    eigh_tridiagonal itself runs where none exports them, for N = 1, for
-    non-finite input and where LAPACK reports an error.
+    calls go here to numpy's bundled OpenBLAS (`_stebz_stein`), without
+    scipy.  eigh_tridiagonal itself runs where that file does not export them,
+    for N = 1, for non-finite input and where LAPACK reports an error.
     """
     d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
     n, lapack = len(d), _stebz_stein()
@@ -318,17 +301,13 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
     return found if vectors else (found, None)
 
 
-@functools.lru_cache(maxsize=None)
 def _openblas_setters() -> tuple:
-    """`openblas_set_num_threads_local` of every OpenBLAS loaded in this process.
-
-    The cap serves the Arnoldi solve, which runs in scipy's OpenBLAS, so
-    scipy.linalg is imported before the list is made and cached.  Empty where
-    none exports the symbol (another BLAS, OpenBLAS before 0.3.27) or
-    /proc/self/maps is absent.
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy's and
+    scipy's wheels bundle; the Arnoldi solve runs in scipy's.  Empty where
+    none exports the symbol (another BLAS, OpenBLAS before 0.3.27).
     """
-    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS)
-    setters = [lib.openblas_set_num_threads_local for lib in _loaded_openblas()
+    setters = [lib.openblas_set_num_threads_local
+               for lib in _bundled_openblas("numpy") + _bundled_openblas("scipy")
                if hasattr(lib, "openblas_set_num_threads_local")]
     for setter in setters:
         setter.argtypes = [ctypes.c_int]

@@ -163,20 +163,43 @@ def test_missing_zhseqr_falls_back_to_eigvals(monkeypatch):
     assert calls == [(99, 99)]
 
 
-@pytest.fixture
-def fresh_loader():
-    """_zhseqr's cache emptied before the test and again after it."""
-    verifier_mod._zhseqr.cache_clear()
-    yield
-    verifier_mod._zhseqr.cache_clear()
-
-
-@pytest.mark.parametrize("paths", [[], [__file__]], ids=["no-file", "not-a-library"])
-def test_scipy_openblas_not_found_falls_back_to_eigvals(paths, fresh_loader, monkeypatch):
-    monkeypatch.setattr(verifier_mod, "_scipy_openblas_paths", lambda: paths)
+def test_scipy_openblas_not_found_falls_back_to_eigvals(monkeypatch):
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda package: ())
     assert verifier_mod._zhseqr() is None
     ham = _hamiltonian("morse_pt1", 201)
     expected = eigvals(ham.dense())
     calls = _recording_eigvals(monkeypatch)
     assert np.array_equal(verifier_mod._hessenberg_eigvals(ham), expected)
     assert calls == [(199, 199)]
+
+
+@pytest.fixture
+def fake_site(tmp_path, monkeypatch):
+    """A directory on sys.path holding the package `fakepkg`, with
+    _bundled_openblas's cache emptied before the test and again after it."""
+    (tmp_path / "fakepkg").mkdir()
+    (tmp_path / "fakepkg" / "__init__.py").write_text("", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    verifier_mod._bundled_openblas.cache_clear()
+    yield tmp_path
+    verifier_mod._bundled_openblas.cache_clear()
+
+
+def test_bundled_openblas_without_libs_directory(fake_site):
+    assert verifier_mod._bundled_openblas("fakepkg") == ()
+
+
+def test_bundled_openblas_skips_a_file_that_is_not_a_library(fake_site):
+    libs = fake_site / "fakepkg.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas-x.so").write_bytes(b"not a shared library")
+    real = verifier_mod._bundled_openblas("scipy")
+    if not real:
+        pytest.skip("scipy's wheel bundles no OpenBLAS here")
+    os.symlink(real[0]._name, libs / "libscipy_openblas-y.so")
+    found = verifier_mod._bundled_openblas("fakepkg")
+    assert [os.path.basename(lib._name) for lib in found] == ["libscipy_openblas-y.so"]
+
+
+def test_bundled_openblas_of_a_missing_package(fake_site):
+    assert verifier_mod._bundled_openblas("fakepkg_not_installed") == ()

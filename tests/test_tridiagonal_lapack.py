@@ -1,8 +1,8 @@
-"""The real-well solve: dstebz and dstein from a loaded OpenBLAS, without scipy.
+"""The real-well solve: dstebz and dstein from numpy's bundled OpenBLAS, without scipy.
 
 `_eigh_tridiagonal` must give `scipy.linalg.eigh_tridiagonal`'s values and
-vectors bit for bit, through every library that exports the two routines and
-through the fallback where none does.
+vectors bit for bit, through every bundled library that exports the two
+routines (numpy's and scipy's) and through the fallback where none does.
 """
 import os
 
@@ -84,22 +84,15 @@ def test_random_tridiagonals_bitwise(case, vectors):
 
 
 def _exporting_libraries():
-    return [pytest.param(lib, id=os.path.basename(lib._name))
-            for lib in verifier_mod._loaded_openblas()
+    bundled = verifier_mod._bundled_openblas("numpy") + verifier_mod._bundled_openblas("scipy")
+    return [pytest.param(lib, id=os.path.basename(lib._name)) for lib in bundled
             if any(hasattr(lib, name.format("dstebz")) for name, _ in verifier_mod._LAPACK_SYMBOLS)]
 
 
-@pytest.fixture
-def fresh_lookup():
-    verifier_mod._stebz_stein.cache_clear()
-    yield
-    verifier_mod._stebz_stein.cache_clear()
-
-
 @pytest.mark.parametrize("lib", _exporting_libraries())
-def test_each_exporting_library_bitwise(lib, monkeypatch, fresh_lookup):
+def test_each_exporting_library_bitwise(lib, monkeypatch):
     # numpy's wheel exports the int64 routines, scipy's the int32 ones
-    monkeypatch.setattr(verifier_mod, "_loaded_openblas", lambda: [lib])
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda package: (lib,))
     assert verifier_mod._stebz_stein() is not None
     d, e, k, window = SOLVER_MATRICES[0]
     for vectors in (False, True):
@@ -118,8 +111,8 @@ def _recording_eigh_tridiagonal(monkeypatch):
     return calls
 
 
-def test_no_exporting_library_falls_back_bitwise(monkeypatch, fresh_lookup):
-    monkeypatch.setattr(verifier_mod, "_loaded_openblas", lambda: [])
+def test_no_exporting_library_falls_back_bitwise(monkeypatch):
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda package: ())
     assert verifier_mod._stebz_stein() is None
     calls = _recording_eigh_tridiagonal(monkeypatch)
     d, e, k, window = SOLVER_MATRICES[-1]
@@ -131,7 +124,7 @@ def test_no_exporting_library_falls_back_bitwise(monkeypatch, fresh_lookup):
 
 def test_lapack_path_does_not_call_scipy(monkeypatch):
     if verifier_mod._stebz_stein() is None:
-        pytest.skip("no loaded OpenBLAS exports dstebz and dstein")
+        pytest.skip("numpy's bundled OpenBLAS does not export dstebz and dstein")
     calls = _recording_eigh_tridiagonal(monkeypatch)
     d, e, k, window = SOLVER_MATRICES[-1]
     verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1), True)
