@@ -4,7 +4,8 @@
              [--out <path>] [--mode paper-literal|self-consistent]
 
 Exit codes: 0 success; 1 usage error, invalid config, model precondition,
-or parameters and units whose arithmetic leaves floating-point range;
+or parameters and units whose arithmetic leaves floating-point range (a
+closed-form level or a ground-state sample that is not finite);
 2 numerical non-convergence (a Hermitian family's Richardson certificate,
 or an eigensolver); 3 verification mismatch (Hermitian families only).
 A failed run prints one `error:` line to stderr, except a usage error
@@ -17,7 +18,8 @@ Each `cmd_*` function's docstring is its subcommand's `--help` line.
 `verify` and `scan` import the finite-difference verifier when they run, so
 the closed-form commands start without it; numpy loads with the first array
 (never for `spectrum`), and only `scan` imports scipy (`verify` too where
-the OpenBLAS bundled with scipy or numpy cannot be found).
+the OpenBLAS that the numpy or scipy wheel bundles in `<package>.libs` is
+not found).
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ Admissibility marks which (n, l) pairs correspond to genuine bound states.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -46,8 +47,12 @@ class EnergyRecord:
 
 def energy_record(model: Ladder, n: int, l: int,
                   units: UnitSystem = DEFAULT_UNITS) -> EnergyRecord:
-    """Closed-form level of the ladder's formula, with admissibility flag."""
+    """Closed-form level of the ladder's formula, with admissibility flag; a
+    level that is not finite (parameters or units out of range) raises
+    InvalidModelError."""
     e, ok = model.level(n, l, units)
+    if not cmath.isfinite(e):
+        raise InvalidModelError(f"level (n={n}, l={l}) is not finite: E = {complex(e)}")
     return EnergyRecord(QuantumNumbers(n, l), complex(e), model.formula, ok)
 
 
@@ -91,10 +96,10 @@ def groundstate_wavefunction(model: PotentialModel, l: int, grid: Grid,
     x = grid.points()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         values = np.asarray(lad.groundstate(l, x, units), dtype=complex)
-    if not model.structurally_hermitian():
-        return WavefunctionSample(grid, values, 1.0, QuantumNumbers(0, l), False)
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         raise NotNormalizableError("samples overflow on this grid; shrink the domain")
+    if not model.structurally_hermitian():
+        return WavefunctionSample(grid, values, 1.0, QuantumNumbers(0, l), False)
     dens = np.abs(values) ** 2
     # trapezoid rule, in the same operation order as scipy.integrate.trapezoid
     norm_sq = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import sys
 import tempfile
 from dataclasses import fields
@@ -434,11 +435,23 @@ _OUT_OF_RANGE = {
     "C": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n"
           "\n[grid]\nn_points = 17\n", ["verify", "wavefunction"], 1),
     # hbar^2/(2m h^2) is about 3e197: LAPACK's bisection does not converge
-    "D": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1e300\n"
+    "D": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1\n"
           "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n", ["verify"], 2),
     # the window is 4e301 wide, so h**2 overflows
     "E": ("[model]\nfamily = poschl_teller_pt\nv0 = 3\nq = 2\nalpha = 1e-300\n"
           "\n[grid]\nn_points = 16\n", ["verify"], 1),
+    # q**2 overflows in the level, so E0 = -inf * 0 is NaN
+    "F": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n", ["spectrum"], 1),
+    # d**2 / omega**2 overflows, so every level is -inf
+    "G": ("[model]\nfamily = morse_pt2\nomega = 1e-300\nd = 1e300\n"
+          "\n[grid]\nn_points = 17\n", ["spectrum", "verify"], 1),
+    # a complex well's ground-state samples overflow
+    "H": ("[model]\nfamily = morse_pt1\nv1 = 1e300\nv2 = 1\n"
+          "\n[grid]\nn_points = 17\n", ["wavefunction"], 1),
+    # q**2 * hbar^2/(2m) overflows, so every level is NaN
+    "I": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1e300\n"
+          "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n",
+          ["spectrum", "verify"], 1),
 }
 
 
@@ -448,7 +461,8 @@ def test_out_of_range_config_ends_in_one_error_line(tmp_path, capsys, case):
     cfg = write_cfg(tmp_path, text)
     for command in commands:
         assert main([command, "--config", cfg]) == code, command
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "", (command, out)
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
 
 
@@ -476,6 +490,9 @@ def _extreme_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FINITE_COLUMNS = {"E_re", "E_im", "numeric_re", "numeric_im", "abs_err", "psi_re", "psi_im"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=_extreme_configs(), command=st.sampled_from(["spectrum", "verify", "wavefunction"]),
        mode=st.sampled_from(["paper-literal", "self-consistent"]))
@@ -490,3 +507,12 @@ def test_extreme_configs_never_raise(text, command, mode):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.getvalue().startswith("error: "), err.getvalue()
+        return
+    # every energy and psi field on stdout is finite (rel_err and
+    # richardson_delta may be NaN by design)
+    table = [line.split(",") for line in out.getvalue().splitlines()
+             if "," in line and not line.startswith("#")]
+    for row in table[1:]:
+        for name, value in zip(table[0], row):
+            if name in _FINITE_COLUMNS:
+                assert math.isfinite(float(value)), (name, row)
