@@ -325,7 +325,7 @@ _blas_cap_saved: list = []
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread.
+    """Run the block with the bundled OpenBLAS of numpy and scipy on one thread.
 
     ARPACK's reverse-communication loop makes many small BLAS calls, on
     which a second OpenBLAS thread only spins.  The counts are restored on
