@@ -203,3 +203,88 @@ def test_bundled_openblas_skips_a_file_that_is_not_a_library(fake_site):
 
 def test_bundled_openblas_of_a_missing_package(fake_site):
     assert verifier_mod._bundled_openblas("fakepkg_not_installed") == ()
+
+
+@pytest.mark.parametrize("user_timeout", [None, "26"], ids=["unset", "user-set"])
+def test_bundled_openblas_restores_the_environment_after_a_failed_load(user_timeout, fake_site,
+                                                                     monkeypatch):
+    libs = fake_site / "fakepkg.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas-x.so").write_bytes(b"not a shared library")
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    if user_timeout is not None:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", user_timeout)
+    seen = []
+
+    def failing_load(path):
+        seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        raise OSError(f"{path}: invalid ELF header")
+
+    monkeypatch.setattr(verifier_mod.ctypes, "CDLL", failing_load)
+    assert verifier_mod._bundled_openblas("fakepkg") == ()
+    assert seen == [user_timeout or str(verifier_mod.OPENBLAS_THREAD_TIMEOUT)]
+    assert os.environ.get("OPENBLAS_THREAD_TIMEOUT") == user_timeout
+
+
+SPIN_PROBE = """
+import os, sys
+{before}
+from susyhier import verifier
+from susyhier.cli import main
+if sys.argv[1]:
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        fh.write("[model]\\nfamily = morse_pt1\\nv1 = 16\\nv2 = 12\\n\\n[grid]\\nn_points = 201\\n")
+    assert main(["verify", "--config", sys.argv[1], "--out", sys.argv[1] + ".csv"]) == 0
+lib = verifier._bundled_openblas("scipy")[0]
+print(lib.openblas_thread_timeout(), lib.scipy_openblas_get_num_threads(),
+      os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+def _spin_probe(config, before="", user_timeout=None):
+    """(idle-spin exponent, thread count, OPENBLAS_THREAD_TIMEOUT or None) that
+    scipy's OpenBLAS reads in a fresh process after `before` and, given a
+    config path, a verify of a complex well."""
+    real = verifier_mod._bundled_openblas("scipy")
+    if not real or not hasattr(real[0], "openblas_thread_timeout"):
+        pytest.skip("scipy's wheel bundles no OpenBLAS here")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if user_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(susyhier.__file__)))
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", SPIN_PROBE.format(before=before), str(config)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    timeout, threads, variable = proc.stdout.split()
+    return int(timeout), int(threads), None if variable == "None" else variable
+
+
+def test_complex_verify_loads_scipy_openblas_with_the_short_idle_spin(tmp_path):
+    timeout, _, variable = _spin_probe(tmp_path / "complex.ini")
+    assert timeout == verifier_mod.OPENBLAS_THREAD_TIMEOUT
+    assert variable is None
+
+
+def test_user_thread_timeout_wins(tmp_path):
+    assert _spin_probe(tmp_path / "complex.ini", user_timeout="26")[::2] == (26, "26")
+
+
+def test_scipy_imported_first_keeps_the_openblas_default(tmp_path):
+    # OpenBLAS reads the variable when the file is first loaded; 0 is its default
+    timeout, _, variable = _spin_probe(tmp_path / "complex.ini", before="import scipy.linalg")
+    assert (timeout, variable) == (0, None)
+
+
+def test_complex_verify_keeps_the_openblas_thread_count(tmp_path):
+    # zhseqr's roundoff, and so the box-state levels, follow the thread count
+    _, after_verify, _ = _spin_probe(tmp_path / "complex.ini")
+    _, scipy_only, _ = _spin_probe("", before="import scipy.linalg")
+    assert after_verify == scipy_only
+
+
+def test_dense_vectors_solve_loads_scipy_openblas_with_the_short_idle_spin():
+    solve = ("from susyhier import Grid, MorsePT1, build_hamiltonian, eigen_spectrum\n"
+             "eigen_spectrum(build_hamiltonian(MorsePT1(16, 12), Grid(-20.0, 20.0, 101)), 5)")
+    timeout, _, variable = _spin_probe("", before=solve)
+    assert (timeout, variable) == (verifier_mod.OPENBLAS_THREAD_TIMEOUT, None)
