@@ -267,7 +267,8 @@ def test_complex_verify_loads_scipy_openblas_with_the_short_idle_spin(tmp_path):
 
 
 def test_user_thread_timeout_wins(tmp_path):
-    assert _spin_probe(tmp_path / "complex.ini", user_timeout="26")[::2] == (26, "26")
+    timeout, _, variable = _spin_probe(tmp_path / "complex.ini", user_timeout="26")
+    assert (timeout, variable) == (26, "26")
 
 
 def test_scipy_imported_first_keeps_the_openblas_default(tmp_path):
