@@ -12,13 +12,13 @@ result is bit for bit `zgeev`'s.  `zhseqr` comes from the OpenBLAS file that
 scipy's wheel bundles, so that solve imports no scipy either; without that
 file it falls back to `scipy.linalg.eigvals`.  Both files are opened by path
 beside the package that bundles them (`_bundled_openblas`).  Where that
-lookup is the first to load scipy's file (a complex `verify` or a dense solve
-with vectors before any `import scipy`), the file's idle worker threads spin
-2**OPENBLAS_THREAD_TIMEOUT cycles before they sleep, not OpenBLAS's 2**28, on
-the same thread count; a value of that variable the user set wins.  The
-reality scan needs only the states below the continuum and solves for those
-alone (`_states_below`) with scipy's dense and Arnoldi solvers, and runs
-its Arnoldi solve on one BLAS thread (`_one_blas_thread`).
+lookup is the first to load scipy's file (a complex `verify` before any
+`import scipy`), the file's idle worker threads spin 2**OPENBLAS_THREAD_TIMEOUT
+cycles before they sleep, not OpenBLAS's 2**28, on the same thread count; a
+value of that variable the user set wins.  The reality scan needs only the
+states below the continuum and solves for those alone (`_states_below`) with
+scipy's dense and Arnoldi solvers, and runs its Arnoldi solve on one BLAS
+thread (`_one_blas_thread`).
 """
 from __future__ import annotations
 
@@ -76,6 +76,7 @@ ZGEEV_SMLNUM = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 # default) before it sleeps, and zhseqr leaves such gaps between its parallel
 # calls; only the spin is shortened, since the thread count sets zhseqr's roundoff
 OPENBLAS_THREAD_TIMEOUT = 20
+_openblas_load_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -144,16 +145,18 @@ def _bundled_openblas(package: str) -> tuple:
     site = os.path.dirname(os.path.abspath(spec.submodule_search_locations[0]))
     paths = sorted(glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*.so")))
     libs = []
-    # a file loads with the short idle spin unless the user set one, or it was loaded before
-    preset = "OPENBLAS_THREAD_TIMEOUT" in os.environ
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(OPENBLAS_THREAD_TIMEOUT))
-    try:
-        for path in paths:
-            with suppress(OSError):
-                libs.append(ctypes.CDLL(path))
-    finally:
-        if not preset:
-            os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    # a file loads with the short idle spin unless the user set one, or it was
+    # loaded before; first calls on two threads take turns with the variable
+    with _openblas_load_lock:
+        preset = "OPENBLAS_THREAD_TIMEOUT" in os.environ
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(OPENBLAS_THREAD_TIMEOUT))
+        try:
+            for path in paths:
+                with suppress(OSError):
+                    libs.append(ctypes.CDLL(path))
+        finally:
+            if not preset:
+                os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
     return tuple(libs)
 
 
@@ -245,7 +248,6 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     if not vectors:
         vals = _hessenberg_eigvals(ham)
         return vals[np.lexsort((vals.imag, vals.real))[:k]], None
-    _bundled_openblas("scipy")  # so scipy's OpenBLAS loads with the short idle spin
     from scipy.linalg import eig
     vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
     order = np.lexsort((vals.imag, vals.real))[:k]

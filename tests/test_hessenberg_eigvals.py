@@ -2,6 +2,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -226,6 +228,38 @@ def test_bundled_openblas_restores_the_environment_after_a_failed_load(user_time
     assert os.environ.get("OPENBLAS_THREAD_TIMEOUT") == user_timeout
 
 
+def test_concurrent_first_lookups_each_load_with_the_short_idle_spin(fake_site, monkeypatch):
+    # the second lookup starts while the first is loading, and reads the
+    # variable after the first one has finished
+    for package in ("fakepkg", "fakepkg2"):
+        (fake_site / package).mkdir(exist_ok=True)
+        (fake_site / package / "__init__.py").write_text("", encoding="utf-8")
+        (fake_site / f"{package}.libs").mkdir()
+        (fake_site / f"{package}.libs" / "libscipy_openblas-x.so").write_bytes(b"")
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    first_loading = threading.Event()
+    seen = {}
+
+    def slow_load(path):
+        if "fakepkg2" in path:
+            time.sleep(0.2)
+        else:
+            first_loading.set()
+            time.sleep(0.05)
+        seen[os.path.basename(os.path.dirname(path))] = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+        raise OSError(f"{path}: invalid ELF header")
+
+    monkeypatch.setattr(verifier_mod.ctypes, "CDLL", slow_load)
+    first = threading.Thread(target=verifier_mod._bundled_openblas, args=("fakepkg",))
+    first.start()
+    assert first_loading.wait(10)
+    assert verifier_mod._bundled_openblas("fakepkg2") == ()
+    first.join()
+    spin = str(verifier_mod.OPENBLAS_THREAD_TIMEOUT)
+    assert seen == {"fakepkg.libs": spin, "fakepkg2.libs": spin}
+    assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+
+
 SPIN_PROBE = """
 import os, sys
 {before}
@@ -261,9 +295,12 @@ def _spin_probe(config, before="", user_timeout=None):
 
 
 def test_complex_verify_loads_scipy_openblas_with_the_short_idle_spin(tmp_path):
-    timeout, _, variable = _spin_probe(tmp_path / "complex.ini")
+    timeout, threads, variable = _spin_probe(tmp_path / "complex.ini")
     assert timeout == verifier_mod.OPENBLAS_THREAD_TIMEOUT
     assert variable is None
+    # zhseqr's roundoff, and so the box-state levels, follow the thread count
+    _, scipy_only_threads, _ = _spin_probe("", before="import scipy.linalg")
+    assert threads == scipy_only_threads
 
 
 def test_user_thread_timeout_wins(tmp_path):
@@ -275,17 +312,3 @@ def test_scipy_imported_first_keeps_the_openblas_default(tmp_path):
     # OpenBLAS reads the variable when the file is first loaded; 0 is its default
     timeout, _, variable = _spin_probe(tmp_path / "complex.ini", before="import scipy.linalg")
     assert (timeout, variable) == (0, None)
-
-
-def test_complex_verify_keeps_the_openblas_thread_count(tmp_path):
-    # zhseqr's roundoff, and so the box-state levels, follow the thread count
-    _, after_verify, _ = _spin_probe(tmp_path / "complex.ini")
-    _, scipy_only, _ = _spin_probe("", before="import scipy.linalg")
-    assert after_verify == scipy_only
-
-
-def test_dense_vectors_solve_loads_scipy_openblas_with_the_short_idle_spin():
-    solve = ("from susyhier import Grid, MorsePT1, build_hamiltonian, eigen_spectrum\n"
-             "eigen_spectrum(build_hamiltonian(MorsePT1(16, 12), Grid(-20.0, 20.0, 101)), 5)")
-    timeout, _, variable = _spin_probe("", before=solve)
-    assert (timeout, variable) == (verifier_mod.OPENBLAS_THREAD_TIMEOUT, None)
