@@ -18,7 +18,12 @@ cycles before they sleep, not OpenBLAS's 2**28, on the same thread count; a
 value of that variable the user set wins.  The reality scan needs only the
 states below the continuum and solves for those alone (`_states_below`) with
 scipy's dense and Arnoldi solvers, and runs its Arnoldi solve on one BLAS
-thread (`_one_blas_thread`).
+thread (`_one_blas_thread`).  The Arnoldi solve stops at the accuracy the
+scan's verdict needs: ARPACK's tolerance is tol_imag / 100 over the radius
+of the certification circle, which bounds the error of every eigenvalue
+inside the circle by tol_imag / 100 times its condition number, so the
+hundredfold margin covers condition numbers up to 100; for k pairs its
+Krylov basis holds 2k + 1 vectors.
 """
 from __future__ import annotations
 
@@ -367,14 +372,20 @@ def _one_blas_thread():
 
 
 def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,
-                       k: int):
-    """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius.
+                       k: int, accuracy: float):
+    """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius,
+    each eigenvalue inside the circle to within accuracy.
 
     Shift-invert Arnoldi on the tridiagonal H, with k pairs at first and k
     doubling from there; H - sigma is factored once by LAPACK's tridiagonal
-    LU, and ARPACK runs on one BLAS thread.  None when N - 1 <= ARNOLDI_START_K,
-    when k would reach N - 1, when H - sigma is exactly singular, or when
-    ARPACK does not converge.
+    LU, and ARPACK runs on one BLAS thread with a Krylov basis of 2k + 1
+    vectors.  ARPACK accepts a Ritz value mu of (H - sigma)^-1 once its
+    residual is below tol |mu|, and E = sigma + 1/mu then errs by about
+    tol |E - sigma|, so tol = accuracy / radius bounds that error by accuracy
+    inside the circle.  The farthest value certifies the circle only if it
+    lies beyond radius by more than its own error bound.  None when
+    N - 1 <= ARNOLDI_START_K, when k would reach N - 1, when H - sigma is
+    exactly singular, or when ARPACK does not converge.
     """
     n = ham.dimension
     if n - 1 <= ARNOLDI_START_K:
@@ -390,21 +401,25 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     # a fixed start vector with no symmetry keeps the output deterministic and
     # overlaps every eigenvector, odd ones in a symmetric well included
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
+    tol = accuracy / radius
     while k < n - 1:
         try:
             with _one_blas_thread():
-                mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=0)
+                # ARPACK needs k + 1 < ncv <= N, which 2k + 1 capped at N meets for k < N - 1
+                mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=tol, ncv=min(n, 2 * k + 1))
         except ArpackNoConvergence:
             return None
         vals = sigma + 1.0 / mu
-        if np.abs(vals - sigma).max() > radius:
+        far = np.abs(vals - sigma).max()
+        if far - tol * far > radius:
             return vals, vecs
         k *= 2
     return None
 
 
-def _states_below(ham: DiscretizedHamiltonian) -> NumericSpectrum:
-    """Every eigenpair with Re E < CONTINUUM_EDGE, sorted by (Re, Im).
+def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectrum:
+    """Every eigenpair with Re E < CONTINUUM_EDGE, sorted by (Re, Im); a
+    complex well's Arnoldi eigenvalues to within accuracy.
 
     With V = diagonal + 2 off_diagonal the potential on the interior points,
     the numerical range of H, and so every eigenvalue, lies in
@@ -413,12 +428,13 @@ def _states_below(ham: DiscretizedHamiltonian) -> NumericSpectrum:
     (min V - 1, CONTINUUM_EDGE] of the tridiagonal solver.  Complex wells
     take the eigenvalues nearest the centre of the box
     [min Re V, CONTINUUM_EDGE] x [min Im V, max Im V] until the farthest of
-    them lies outside the circle around the box, which proves that none
-    inside it is missing; the dense solver takes over where shift-invert
-    Arnoldi cannot give that proof.  The first Arnoldi call asks for as many
-    pairs as the Hermitian part Re H has levels in the same window, plus
-    ARNOLDI_MARGIN, at most ARNOLDI_START_K: that count follows the depth of
-    the well, and the certificate corrects a guess that falls short.
+    them lies outside the circle around the box by more than its error
+    bound, which proves that none inside it is missing; the dense solver
+    takes over where shift-invert Arnoldi cannot give that proof.  The
+    first Arnoldi call asks for as many pairs as the Hermitian part Re H has
+    levels in the same window, plus ARNOLDI_MARGIN, at most ARNOLDI_START_K:
+    that count follows the depth of the well, and the certificate corrects a
+    guess that falls short.
     """
     n = ham.dimension
     v = ham.diagonal + 2.0 * ham.off_diagonal
@@ -435,7 +451,7 @@ def _states_below(ham: DiscretizedHamiltonian) -> NumericSpectrum:
                             0.5 * (v.imag.min() + v.imag.max()))
             found = _certified_nearest(ham, sigma,
                                        abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma),
-                                       min(ARNOLDI_START_K, m + ARNOLDI_MARGIN))
+                                       min(ARNOLDI_START_K, m + ARNOLDI_MARGIN), accuracy)
             vals, vecs = found if found is not None else _sorted_eig(ham, n)
         below = vals.real < CONTINUUM_EDGE
         vals, vecs = vals[below], vecs[:, below]
@@ -677,10 +693,15 @@ def reality_scan(model: PoschlTeller, axis1: ScanAxis, axis2: ScanAxis, grid: Gr
     if (axis1.param, axis1.component) == (axis2.param, axis2.component):
         raise InvalidModelError(f"scan axes must differ, both sweep {axis1.param} {axis1.component}")
 
+    # the verdict compares max |Im E| with tol_imag, so a hundredth of it is
+    # accuracy enough for eigenvalue condition numbers up to 100
+    accuracy = tol_imag / 100
+
     def one(p1, p2):
         m = _with_component(_with_component(model, axis1, p1), axis2, p2)
         try:
-            eigs = bound_states(_states_below(build_hamiltonian(m, grid, units))).eigenvalues
+            eigs = bound_states(_states_below(build_hamiltonian(m, grid, units),
+                                              accuracy)).eigenvalues
             status = "ok" if len(eigs) else "no_bound_state"
         except PoleOnDomainError:
             eigs, status = np.empty(0, complex), "pole_on_domain"

@@ -311,7 +311,8 @@ def test_wavefunction_follows_mode(tmp_path):
     from susyhier import Mode, load_config
     from susyhier.verifier import _states_below, bound_states, build_hamiltonian
     cfg = load_config(str(DATA / "morse_general_wavefunction.ini"))
-    states = bound_states(_states_below(build_hamiltonian(cfg.model, cfg.grid, cfg.units)))
+    states = bound_states(_states_below(build_hamiltonian(cfg.model, cfg.grid, cfg.units),
+                                        cfg.tol_imag / 100))
     assert states.eigenvalues[0].real == pytest.approx(-20.25, abs=1e-2)
     ground = states.eigenvectors[:, 0]
     overlaps = {}

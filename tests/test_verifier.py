@@ -285,6 +285,9 @@ def test_verify_rejects_empty_admissible_set():
 # ---------------------------------------------------------------------------
 
 SCAN_GRID = Grid(-10.0, 10.0, 257)
+SCAN_LATTICE = load_config(str(Path(__file__).parent / "data" / "scan_lattice.ini"))
+# the eigenvalue accuracy that reality_scan asks of the targeted solve
+SCAN_ACCURACY = SCAN_LATTICE.tol_imag / 100
 
 
 def test_scan_axis_validation():
@@ -353,7 +356,7 @@ def test_reality_scan_lattice_order_and_pole_status():
 
 def assert_targeted_matches_dense(model, grid):
     ham = build_hamiltonian(model, grid)
-    targeted = bound_states(verifier_mod._states_below(ham))
+    targeted = bound_states(verifier_mod._states_below(ham, SCAN_ACCURACY))
     dense = bound_states(eigen_spectrum(ham, ham.dimension))
     assert len(targeted.eigenvalues) == len(dense.eigenvalues)
     if len(dense.eigenvalues) == 0:
@@ -413,10 +416,68 @@ def test_targeted_solve_falls_back_when_arpack_fails(monkeypatch):
     assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), SCAN_GRID)
 
 
+def test_farthest_value_within_its_error_bound_does_not_certify(monkeypatch):
+    # ARPACK leaves each E an error of up to tol |E - sigma|, so a value that
+    # only this error could have put outside the circle proves nothing
+    ks, moved = [], []
+    arnoldi = scipy.sparse.linalg.eigs
+
+    def inside_margin(op, k, tol, **kwargs):
+        ks.append(k)
+        mu, vecs = arnoldi(op, k=k, tol=tol, **kwargs)
+        if len(ks) == 1:
+            radius = SCAN_ACCURACY / tol
+            far = np.abs(1.0 / mu) > radius
+            moved.append(int(far.sum()))
+            mu = np.where(far, mu / np.abs(mu) / (radius * (1.0 + tol / 2.0)), mu)
+        return mu, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", inside_margin)
+    assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), SCAN_GRID)
+    assert moved[0] > 0
+    assert ks[:2] == [ks[0], 2 * ks[0]]
+
+
+def test_doubling_reaches_k_of_n_minus_two(monkeypatch):
+    # N = 34 interior points: k = 16 doubles to 32 = N - 2, where the Krylov
+    # basis of 2k + 1 vectors is capped at N (ARPACK needs k + 1 < ncv <= N)
+    ks = []
+    arnoldi = scipy.sparse.linalg.eigs
+
+    def uncertified_below_32(op, k, **kwargs):
+        ks.append(k)
+        if k < 32:  # every value at sigma + 1e-6, deep inside the circle
+            return np.full(k, 1e6, dtype=complex), np.zeros((op.shape[0], k), dtype=complex)
+        return arnoldi(op, k=k, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", uncertified_below_32)
+    monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", verifier_mod.ARNOLDI_START_K)
+    grid = Grid(-10.0, 10.0, 36)
+    assert build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), grid).dimension == 34
+    assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), grid)
+    assert ks == [16, 32]
+
+
+@settings(max_examples=20, deadline=None)
+@given(v0=st.floats(6.0, 12.5), q_im=st.floats(0.0, 1.08))
+def test_targeted_bound_states_within_scan_accuracy_on_scan_lattices(v0, q_im):
+    # the ranges that the scan lattices sweep (tests/data/scan_lattice.ini and
+    # the benchmark's seeded lattices): Re V0 in [6, 12.5], Im q in [0, 1.08]
+    ham = build_hamiltonian(PoschlTeller(v0, complex(1.0, q_im)), SCAN_GRID)
+    targeted = bound_states(verifier_mod._states_below(ham, SCAN_ACCURACY)).eigenvalues
+    dense = bound_states(eigen_spectrum(ham, ham.dimension)).eigenvalues
+    assert len(targeted) == len(dense) > 0
+    tol_imag = SCAN_LATTICE.tol_imag
+    assert (np.abs(targeted.imag).max() < tol_imag) == (np.abs(dense.imag).max() < tol_imag)
+    distance = np.abs(targeted[:, None] - dense[None, :])
+    assert distance.min(axis=0).max() <= SCAN_ACCURACY
+    assert distance.min(axis=1).max() <= SCAN_ACCURACY
+
+
 def test_targeted_solve_empty_when_well_is_above_threshold():
     ham = build_hamiltonian(PoschlTeller(-6.0 + 1.0j, 1.0 + 0.2j), SCAN_GRID)
     assert np.all((ham.diagonal + 2.0 * ham.off_diagonal).real >= 0.0)
-    spec = verifier_mod._states_below(ham)
+    spec = verifier_mod._states_below(ham, SCAN_ACCURACY)
     assert spec.eigenvalues.shape == (0,)
     assert spec.eigenvectors.shape == (ham.dimension, 0)
 
@@ -445,9 +506,6 @@ def test_reality_scan_reports_points_without_bound_states():
 # ---------------------------------------------------------------------------
 # first Arnoldi size from the Hermitian part, and the tridiagonal LU
 # ---------------------------------------------------------------------------
-
-SCAN_LATTICE = load_config(str(Path(__file__).parent / "data" / "scan_lattice.ini"))
-
 
 def scan_lattice_models():
     cfg = SCAN_LATTICE
@@ -492,13 +550,14 @@ def test_targeted_solve_without_margin_grows_k_and_stays_exact(monkeypatch):
     grid = SCAN_LATTICE.grid
     models = [m for m in scan_lattice_models()
               if not build_hamiltonian(m, grid).is_real]
-    sized = [verifier_mod._states_below(build_hamiltonian(m, grid)) for m in models]
+    sized = [verifier_mod._states_below(build_hamiltonian(m, grid), SCAN_ACCURACY)
+             for m in models]
     ks = recording_eigs(monkeypatch)
     monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", 0)
     grown = []
     for model, reference in zip(models, sized):
         ks.clear()
-        spec = verifier_mod._states_below(build_hamiltonian(model, grid))
+        spec = verifier_mod._states_below(build_hamiltonian(model, grid), SCAN_ACCURACY)
         assert len(spec.eigenvalues) == len(reference.eigenvalues)
         scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
         assert np.allclose(spec.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-10 * scale)
@@ -596,7 +655,7 @@ def test_thread_cap_restored_when_arpack_raises(monkeypatch):
     monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     spec = verifier_mod._states_below(build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j),
-                                                        SCAN_GRID))
+                                                        SCAN_GRID), SCAN_ACCURACY)
     assert len(spec.eigenvalues) > 0  # from the dense fallback
     assert calls == [1, 2]
 
