@@ -435,7 +435,7 @@ def test_farthest_value_within_its_error_bound_does_not_certify(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", inside_margin)
     assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), SCAN_GRID)
     assert moved[0] > 0
-    assert ks[:2] == [ks[0], 2 * ks[0]]
+    assert ks[1] == 2 * ks[0]
 
 
 def test_doubling_reaches_k_of_n_minus_two(monkeypatch):
@@ -452,9 +452,9 @@ def test_doubling_reaches_k_of_n_minus_two(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", uncertified_below_32)
     monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", verifier_mod.ARNOLDI_START_K)
-    grid = Grid(-10.0, 10.0, 36)
-    assert build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), grid).dimension == 34
-    assert_targeted_matches_dense(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), grid)
+    model, grid = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), Grid(-10.0, 10.0, 36)
+    assert build_hamiltonian(model, grid).dimension == 34
+    assert_targeted_matches_dense(model, grid)
     assert ks == [16, 32]
 
 
