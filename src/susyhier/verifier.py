@@ -17,13 +17,14 @@ lookup is the first to load scipy's file (a complex `verify` before any
 cycles before they sleep, not OpenBLAS's 2**28, on the same thread count; a
 value of that variable the user set wins.  The reality scan needs only the
 states below the continuum and solves for those alone (`_states_below`) with
-scipy's dense and Arnoldi solvers, and runs its Arnoldi solve on one BLAS
-thread (`_one_blas_thread`).  The Arnoldi solve stops at the accuracy the
-scan's verdict needs: ARPACK's tolerance is tol_imag / 100 over the radius
-of the certification circle, which bounds the error of every eigenvalue
-inside the circle by tol_imag / 100 times its condition number, so the
-hundredfold margin covers condition numbers up to 100; for k pairs its
-Krylov basis holds 2k + 1 vectors.
+scipy's dense and Arnoldi solvers.  Its Arnoldi solve runs with scipy's
+OpenBLAS on one thread and numpy's at its own count, and Arnoldi solves on
+other threads wait their turn (`_one_blas_thread`).  It stops at the
+accuracy the scan's verdict needs: ARPACK's tolerance is tol_imag / 100
+over the radius of the certification circle, which bounds the error of
+every eigenvalue inside the circle by tol_imag / 100 times its condition
+number, so the hundredfold margin covers condition numbers up to 100; for
+k pairs its Krylov basis holds 2k + 1 vectors.
 """
 from __future__ import annotations
 
@@ -327,12 +328,11 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
 
 
 def _openblas_setters() -> tuple:
-    """`openblas_set_num_threads_local` of the OpenBLAS that numpy's and
-    scipy's wheels bundle; the Arnoldi solve runs in scipy's.  Empty where
-    none exports the symbol (another BLAS, OpenBLAS before 0.3.27).
+    """`openblas_set_num_threads_local` of the OpenBLAS that scipy's wheel
+    bundles, where the Arnoldi solve runs.  Empty where it does not export
+    the symbol (another BLAS, OpenBLAS before 0.3.27).
     """
-    setters = [lib.openblas_set_num_threads_local
-               for lib in _bundled_openblas("numpy") + _bundled_openblas("scipy")
+    setters = [lib.openblas_set_num_threads_local for lib in _bundled_openblas("scipy")
                if hasattr(lib, "openblas_set_num_threads_local")]
     for setter in setters:
         setter.argtypes = [ctypes.c_int]
@@ -340,35 +340,28 @@ def _openblas_setters() -> tuple:
     return tuple(setters)
 
 
-# the setter changes a thread count the whole process shares, so concurrent
-# holders of the cap are counted: the first one in saves the counts and the
-# last one out restores them
+# the setter changes a thread count the whole process shares, so holders of
+# the cap on different threads take turns
 _blas_cap_lock = threading.Lock()
-_blas_cap_holders = 0
-_blas_cap_saved: list = []
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with the bundled OpenBLAS of numpy and scipy on one thread.
+    """Run the block with scipy's bundled OpenBLAS on one thread.
 
     ARPACK's reverse-communication loop makes many small BLAS calls, on
-    which a second OpenBLAS thread only spins.  The counts are restored on
-    exit, also when the block raises; without a setter this does nothing.
+    which a second OpenBLAS thread only spins; numpy's OpenBLAS keeps its
+    count.  The count is restored on exit, also when the block raises, and
+    a block on another thread starts only after that; without a setter this
+    does nothing.
     """
-    global _blas_cap_holders, _blas_cap_saved
     with _blas_cap_lock:
-        if _blas_cap_holders == 0:
-            _blas_cap_saved = [(setter, setter(1)) for setter in _openblas_setters()]
-        _blas_cap_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_cap_lock:
-            _blas_cap_holders -= 1
-            if _blas_cap_holders == 0:
-                for setter, count in _blas_cap_saved:
-                    setter(count)
+        saved = [(setter, setter(1)) for setter in _openblas_setters()]
+        try:
+            yield
+        finally:
+            for setter, count in saved:
+                setter(count)
 
 
 def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,

@@ -116,6 +116,21 @@ def test_verify_not_converged_exit_code(tmp_path, capsys):
     assert "converged = false" in out
 
 
+def test_verify_lists_analytic_levels_left_without_a_numeric_one(tmp_path, capsys):
+    # 19 literal levels against the 14 eigenvalues of 14 interior points
+    cfg = write_cfg(tmp_path, "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n"
+                              "\n[grid]\nn_points = 16\n\n[run]\nn_max = 18\n")
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "# verify report"
+    assert [ln for ln in lines if ln.startswith("# unmatched analytic")] == [
+        f"# unmatched analytic level n={n} l=0 E={e}+0.0i"
+        for n, e in enumerate([-90.25, -81.0, -72.25, -64.0, -56.25])]
+    assert len([ln for ln in lines if ln and ln[0].isdigit()]) == 14
+
+
 def test_verify_mismatch_exit_code(tmp_path, capsys):
     # the literal level formula for this well does not agree with the operator
     cfg = write_cfg(tmp_path, MORSE_VERIFY.replace("mode = self-consistent",
@@ -263,17 +278,26 @@ def test_scan_requires_both_axes(tmp_path, capsys):
     assert "scan1_" in capsys.readouterr().err
 
 
-def test_scan_refuses_two_axes_on_one_component(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n"
-                              "\n[grid]\nn_points = 257\n"
-                              "\n[run]\nscan1_param = v0\nscan1_component = re\n"
-                              "scan1_start = 6\nscan1_stop = 7\nscan1_count = 2\n"
-                              "scan2_param = v0\nscan2_component = re\n"
-                              "scan2_start = 1\nscan2_stop = 2\nscan2_count = 2\n")
+_SCAN_AXES = ("\n[grid]\nn_points = 257\n"
+              "\n[run]\nscan1_param = v0\nscan1_component = re\n"
+              "scan1_start = 6\nscan1_stop = 7\nscan1_count = 2\n"
+              "scan2_param = {param2}\nscan2_component = {component2}\n"
+              "scan2_start = 0\nscan2_stop = 0.5\nscan2_count = 2\n")
+
+
+@pytest.mark.parametrize("model, param2, component2, message", [
+    ("family = poschl_teller\nv0 = 6\nq = 1", "v0", "re",
+     "scan axes must differ, both sweep v0 re"),
+    ("family = morse_general\nv1 = 25\nv2 = 50", "q", "im",
+     "reality scan is defined for the rational well"),
+], ids=["two_axes_on_one_component", "non_rational_family"])
+def test_scan_refused_config_exits_1(tmp_path, capsys, model, param2, component2, message):
+    cfg = write_cfg(tmp_path, f"[model]\n{model}\n"
+                              + _SCAN_AXES.format(param2=param2, component2=component2))
     assert main(["scan", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: scan axes must differ, both sweep v0 re\n"
+    assert captured.err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -425,46 +449,57 @@ def test_pole_on_domain_exits_1(tmp_path, capsys, command):
 
 
 # configs that parse but whose arithmetic leaves floating-point range: each
-# with the commands that must end in one `error:` line, and their exit code
+# with the commands that must end in one `error:` line, their exit code and
+# the line's start, up to the text that Python or LAPACK supplies
+_RANGE = "error: out of floating-point range ("
 _OUT_OF_RANGE = {
     # omega**2 overflows in V's coefficients
-    "A": ("[model]\nfamily = morse_pt2\nomega = 1e300\nd = -1\n", ["verify"], 1),
+    "A": ("[model]\nfamily = morse_pt2\nomega = 1e300\nd = -1\n", ["verify"], 1, _RANGE),
     # alpha**2 underflows to 0 in lam
     "B": ("[model]\nfamily = morse_general\nv1 = 3+4i\nv2 = 100\nalpha = 1e-300\n",
-          ["spectrum", "verify", "wavefunction"], 1),
-    # (1 + q u)^2 overflows, so V is not finite; q**2 overflows in psi0
+          ["spectrum", "verify", "wavefunction"], 1, _RANGE),
+    # q**2 overflows in the level, as in F, before V or psi0 is evaluated
     "C": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n"
-          "\n[grid]\nn_points = 17\n", ["verify", "wavefunction"], 1),
+          "\n[grid]\nn_points = 17\n", ["verify", "wavefunction"], 1,
+          "error: level (n=0, l=0) is not finite: E = (nan+0j)\n"),
     # hbar^2/(2m h^2) is about 3e197: LAPACK's bisection does not converge
     "D": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1\n"
-          "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n", ["verify"], 2),
+          "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n", ["verify"], 2,
+          "error: "),
     # the window is 4e301 wide, so h**2 overflows
     "E": ("[model]\nfamily = poschl_teller_pt\nv0 = 3\nq = 2\nalpha = 1e-300\n"
-          "\n[grid]\nn_points = 16\n", ["verify"], 1),
+          "\n[grid]\nn_points = 16\n", ["verify"], 1, _RANGE),
     # q**2 overflows in the level, so E0 = -inf * 0 is NaN
-    "F": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n", ["spectrum"], 1),
+    "F": ("[model]\nfamily = poschl_teller_pt\nv0 = 1e-300\nq = 1e300\n", ["spectrum"], 1,
+          "error: level (n=0, l=0) is not finite: E = (nan+0j)\n"),
     # d**2 / omega**2 overflows, so every level is -inf
     "G": ("[model]\nfamily = morse_pt2\nomega = 1e-300\nd = 1e300\n"
-          "\n[grid]\nn_points = 17\n", ["spectrum", "verify"], 1),
+          "\n[grid]\nn_points = 17\n", ["spectrum", "verify"], 1,
+          "error: level (n=0, l=0) is not finite: E = (-inf+0j)\n"),
     # a complex well's ground-state samples overflow
     "H": ("[model]\nfamily = morse_pt1\nv1 = 1e300\nv2 = 1\n"
-          "\n[grid]\nn_points = 17\n", ["wavefunction"], 1),
+          "\n[grid]\nn_points = 17\n", ["wavefunction"], 1,
+          "error: samples overflow on this grid; shrink the domain\n"),
     # q**2 * hbar^2/(2m) overflows, so every level is NaN
     "I": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1e300\n"
           "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n",
-          ["spectrum", "verify"], 1),
+          ["spectrum", "verify"], 1, "error: level (n=0, l=0) is not finite: E = (nan+nanj)\n"),
+    # the levels are finite, but V overflows on the grid
+    "J": ("[model]\nfamily = morse_general\nv1 = 1e307\nv2 = 1e307\n"
+          "\n[grid]\nn_points = 101\n", ["verify"], 1,
+          "error: V or hbar^2/(2m h^2) is not finite on this grid\n"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
 def test_out_of_range_config_ends_in_one_error_line(tmp_path, capsys, case):
-    text, commands, code = _OUT_OF_RANGE[case]
+    text, commands, code, message = _OUT_OF_RANGE[case]
     cfg = write_cfg(tmp_path, text)
     for command in commands:
         assert main([command, "--config", cfg]) == code, command
         out, err = capsys.readouterr()
         assert out == "", (command, out)
-        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert err.startswith(message) and err.count("\n") == 1, (command, err)
 
 
 _MAGNITUDES = st.sampled_from([0.0, 1e-300, 1e-150, 0.5, 1.0, 3.0, 25.0, 1e150, 1e300])

@@ -153,14 +153,18 @@ def test_scan_loads_dense_and_arnoldi_solvers(tmp_path):
 
 
 SETTERS_PROBE = """
-import ctypes, sys
+import ctypes, os, sys
 from susyhier import verifier
 from susyhier.cli import main
 assert main(["verify", "--config", {real!r}, "--out", {real!r} + ".out"]) == 0
 assert "scipy" not in sys.modules
 assert main(["scan", "--config", {scan!r}, "--out", {scan!r} + ".out"]) == 0
+import scipy
+scipy_libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs", "")
 with open("/proc/self/maps", encoding="utf-8") as fh:
-    paths = {{line.split()[-1] for line in fh if "openblas" in line.split()[-1]}}
+    paths = {{p for p in (line.split()[-1] for line in fh)
+             if p.startswith(scipy_libs) and "openblas" in p}}
+assert paths, "the scan loaded no OpenBLAS from scipy.libs"
 exporting = [p for p in paths if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")]
 assert len(verifier._openblas_setters()) == len(exporting), exporting
 """

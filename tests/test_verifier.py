@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -438,24 +440,36 @@ def test_farthest_value_within_its_error_bound_does_not_certify(monkeypatch):
     assert ks[1] == 2 * ks[0]
 
 
-def test_doubling_reaches_k_of_n_minus_two(monkeypatch):
+@pytest.mark.parametrize("certified_from, dense_fallbacks", [(32, 0), (None, 1)],
+                         ids=["certified_at_n_minus_two", "never_certified"])
+def test_doubling_reaches_k_of_n_minus_two(monkeypatch, certified_from, dense_fallbacks):
     # N = 34 interior points: k = 16 doubles to 32 = N - 2, where the Krylov
-    # basis of 2k + 1 vectors is capped at N (ARPACK needs k + 1 < ncv <= N)
-    ks = []
+    # basis of 2k + 1 vectors is capped at N (ARPACK needs k + 1 < ncv <= N);
+    # a certificate that fails there too gives up, since k would reach N - 1
+    ks, dense_calls = [], []
     arnoldi = scipy.sparse.linalg.eigs
+    sorted_eig = verifier_mod._sorted_eig
 
-    def uncertified_below_32(op, k, **kwargs):
+    def uncertified_below(op, k, **kwargs):
         ks.append(k)
-        if k < 32:  # every value at sigma + 1e-6, deep inside the circle
+        if certified_from is None or k < certified_from:
+            # every value at sigma + 1e-6, deep inside the circle
             return np.full(k, 1e6, dtype=complex), np.zeros((op.shape[0], k), dtype=complex)
         return arnoldi(op, k=k, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", uncertified_below_32)
+    def counting_dense(ham, k, vectors=True):
+        dense_calls.append(k)
+        return sorted_eig(ham, k, vectors)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", uncertified_below)
+    monkeypatch.setattr(verifier_mod, "_sorted_eig", counting_dense)
     monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", verifier_mod.ARNOLDI_START_K)
     model, grid = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), Grid(-10.0, 10.0, 36)
     assert build_hamiltonian(model, grid).dimension == 34
     assert_targeted_matches_dense(model, grid)
     assert ks == [16, 32]
+    # the dense reference of assert_targeted_matches_dense is one call more
+    assert dense_calls == [34] * (dense_fallbacks + 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -624,6 +638,18 @@ def scipy_openblas_thread_count():
     return None
 
 
+def numpy_openblas_thread_count():
+    """A getter for the thread count of numpy's bundled OpenBLAS, or None where absent."""
+    import ctypes
+
+    for lib in verifier_mod._bundled_openblas("numpy"):
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
 def scan_lattice_records():
     cfg = SCAN_LATTICE
     return reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
@@ -660,16 +686,68 @@ def test_thread_cap_restored_when_arpack_raises(monkeypatch):
     assert calls == [1, 2]
 
 
-def test_thread_cap_restores_after_the_last_of_overlapping_holders(monkeypatch):
-    calls = []
+def test_thread_cap_holders_on_two_threads_take_turns(monkeypatch):
+    # the second holder's block starts only after the first one restored the count
+    calls, starts, errors = [], [], []
+    first_in, release, second_in, go = (threading.Event() for _ in range(4))
+    go.set()
     monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
-    first, second = verifier_mod._one_blas_thread(), verifier_mod._one_blas_thread()
-    first.__enter__()
-    second.__enter__()
-    first.__exit__(None, None, None)
+
+    def hold(entered, leave):
+        try:
+            with verifier_mod._one_blas_thread():
+                starts.append(list(calls))
+                entered.set()
+                assert leave.wait(timeout=10.0)
+        except Exception as exc:  # asserted empty in the test thread below
+            errors.append(exc)
+
+    first = threading.Thread(target=hold, args=(first_in, release))
+    second = threading.Thread(target=hold, args=(second_in, go))
+    first.start()
+    assert first_in.wait(timeout=10.0)
+    second.start()
+    assert not second_in.wait(timeout=0.2)
     assert calls == [1]
-    second.__exit__(None, None, None)
-    assert calls == [1, 2]
+    release.set()
+    for thread in (first, second):
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    assert not errors, errors
+    assert starts == [[1], [1, 2, 1]]
+    assert calls == [1, 2, 1, 2]
+
+
+def test_thread_cap_admits_one_holder_at_a_time_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval, so that holders
+    # whose blocks overlapped would show in the count of holders inside
+    calls, inside, errors = [], [], []
+    setter = fake_setter(calls)
+    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (setter,))
+
+    def hold():
+        try:
+            for _ in range(200):
+                with verifier_mod._one_blas_thread():
+                    inside.append(None)
+                    assert len(inside) == 1 and setter(1) == 1
+                    inside.pop()
+        except Exception as exc:  # asserted empty in the test thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert calls == [1, 1, 2] * 800
 
 
 def test_verify_never_caps_blas_threads(monkeypatch):
@@ -687,9 +765,15 @@ def test_scan_leaves_openblas_thread_count_unchanged():
     get_threads = scipy_openblas_thread_count()
     if get_threads is None or not verifier_mod._openblas_setters():
         pytest.skip("scipy's OpenBLAS with a thread-count setter is not loaded")
+    get_numpy_threads = numpy_openblas_thread_count()
+    numpy_before = None if get_numpy_threads is None else get_numpy_threads()
     before = get_threads()
     with verifier_mod._one_blas_thread():
         assert get_threads() == 1
+        if get_numpy_threads is not None:
+            assert get_numpy_threads() == numpy_before
     assert get_threads() == before
     scan_lattice_records()
     assert get_threads() == before
+    if get_numpy_threads is not None:
+        assert get_numpy_threads() == numpy_before
