@@ -5,9 +5,9 @@ The closed-form modules import numpy inside the functions that build or
 evaluate arrays, and the finite-difference verifier loads on first use
 (PEP 562), so `import susyhier` and the closed-form commands load neither
 numpy nor the verifier; the verifier imports scipy for the reality scan
-and for a complex well's eigenvectors, so `verify` runs without scipy (it
-calls LAPACK in the OpenBLAS files that the numpy and scipy wheels bundle
-in `numpy.libs` and `scipy.libs`, opened by path).
+and for eigenvectors, so `verify` runs without scipy (it calls LAPACK in
+the OpenBLAS file that scipy's wheel bundles in `scipy.libs`, opened by
+path).
 """
 import importlib
 

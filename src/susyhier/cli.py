@@ -18,8 +18,7 @@ Each `cmd_*` function's docstring is its subcommand's `--help` line.
 `verify` and `scan` import the finite-difference verifier when they run, so
 the closed-form commands start without it; numpy loads with the first array
 (never for `spectrum`), and only `scan` imports scipy (`verify` too where
-the OpenBLAS that the numpy or scipy wheel bundles in `<package>.libs` is
-not found).
+the OpenBLAS that scipy's wheel bundles in `scipy.libs` is not found).
 """
 from __future__ import annotations
 

@@ -1,21 +1,22 @@
 """Finite-difference cross-check of the closed-form spectra.
 
-Three-point Laplacian on a uniform grid with Dirichlet walls.  Real-valued
-wells go through LAPACK's tridiagonal bisection in the OpenBLAS that numpy's
-wheel bundles (`_eigh_tridiagonal`), so they never import scipy.
-Convergence is certified by comparing spacings h and h/2 and reporting the
-Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only, and
-for a complex well it runs LAPACK's Hessenberg QR (`zhseqr`) on H directly
+Three-point Laplacian on a uniform grid with Dirichlet walls.  Convergence
+is certified by comparing spacings h and h/2 and reporting the
+Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only.
+Those come from LAPACK through ctypes, and every routine called that way
+comes from the OpenBLAS file that scipy's wheel bundles, opened by path
+beside scipy's package directory (`_bundled_openblas`), so `verify` imports
+no scipy.  A real well runs the tridiagonal bisection `dstebz`
+(`_eigh_tridiagonal`), bit for bit `scipy.linalg.eigh_tridiagonal`'s.  A
+complex well runs the Hessenberg QR `zhseqr` on H directly
 (`_hessenberg_eigvals`): H is already tridiagonal, so the balancing and the
 Hessenberg reduction that `zgeev` runs first leave it unchanged, and the
-result is bit for bit `zgeev`'s.  `zhseqr` comes from the OpenBLAS file that
-scipy's wheel bundles, so that solve imports no scipy either; without that
-file it falls back to `scipy.linalg.eigvals`.  Both files are opened by path
-beside the package that bundles them (`_bundled_openblas`).  Where that
-lookup is the first to load scipy's file (a complex `verify` before any
-`import scipy`), the file's idle worker threads spin 2**OPENBLAS_THREAD_TIMEOUT
-cycles before they sleep, not OpenBLAS's 2**28, on the same thread count; a
-value of that variable the user set wins.  The reality scan needs only the
+result is bit for bit `zgeev`'s.  Without that file both solves fall back
+to scipy; eigenvectors always come from scipy.  Where the lookup is the
+first to load the file (a `verify` before any `import scipy`), the file's
+idle worker threads spin 2**OPENBLAS_THREAD_TIMEOUT cycles before they
+sleep, not OpenBLAS's 2**28, on the same thread count; a value of that
+variable the user set wins.  The reality scan needs only the
 states below the continuum and solves for those alone (`_states_below`) with
 scipy's dense and Arnoldi solvers.  Its Arnoldi solve runs with scipy's
 OpenBLAS on one thread and numpy's at its own count, and Arnoldi solves on
@@ -136,20 +137,25 @@ class NumericSpectrum:
     richardson_delta: float
 
 
-def _ref(value, kind):
+# scipy's wheels export LAPACK routine <name> as scipy_<name>_, with 32-bit integers
+_LAPACK_SYMBOL = "scipy_{}_"
+_LAPACK_INT = ctypes.c_int32
+
+
+def _ref(value, kind=_LAPACK_INT):
     return ctypes.byref(kind(value))
 
 
 @functools.lru_cache(maxsize=None)
-def _bundled_openblas(package: str) -> tuple:
-    """The OpenBLAS files that package's wheel bundles in `<package>.libs`,
-    beside its package directory, as ctypes libraries in path order; found
-    without importing the package, and without the files that do not load."""
-    spec = importlib.util.find_spec(package)
+def _bundled_openblas() -> tuple:
+    """The OpenBLAS files that scipy's wheel bundles in `scipy.libs`, beside
+    scipy's package directory, as ctypes libraries in path order; found
+    without importing scipy, and without the files that do not load."""
+    spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         return ()
     site = os.path.dirname(os.path.abspath(spec.submodule_search_locations[0]))
-    paths = sorted(glob.glob(os.path.join(site, f"{package}.libs", "libscipy_openblas*.so")))
+    paths = sorted(glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")))
     libs = []
     # a file loads with the short idle spin unless the user set one, or it was
     # loaded before; first calls on two threads take turns with the variable
@@ -166,26 +172,37 @@ def _bundled_openblas(package: str) -> tuple:
     return tuple(libs)
 
 
+def _lapack_routines(routines: Sequence[tuple[str, int]]):
+    """The routines, one for each (name, number of arguments), from the first
+    file of scipy's bundled OpenBLAS that exports them all, or None."""
+    for lib in _bundled_openblas():
+        found = [getattr(lib, _LAPACK_SYMBOL.format(r), None) for r, _ in routines]
+        if None not in found:
+            for routine, (_, n_args) in zip(found, routines):
+                routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
+            return tuple(found)
+    return None
+
+
 def _zhseqr():
-    """(zhseqr, zgeev, integer type) from scipy's bundled OpenBLAS, or None
-    where that file or its routines are missing.
+    """(zhseqr, zgeev) from scipy's bundled OpenBLAS, or None where that file
+    or its routines are missing.
 
     scipy.linalg.eigvals runs zgeev in that library.  numpy's OpenBLAS
     exports zhseqr too, but it is another OpenBLAS version, whose roundoff
     differs from eigvals'.
     """
-    return _lapack_routines(_bundled_openblas("scipy"), (("zhseqr", 13), ("zgeev", 14)))
+    return _lapack_routines((("zhseqr", 13), ("zgeev", 14)))
 
 
-def _zgeev_lwork(zgeev, int_t, h: np.ndarray) -> int:
+def _zgeev_lwork(zgeev, h: np.ndarray) -> int:
     """The workspace size that eigvals gives zgeev for the eigenvalues of the
     N x N h: zgeev's own workspace query (lwork = -1), which reads no array."""
     n = h.shape[0]
     one = np.zeros(1, dtype=complex)  # every array but h; the query writes the size to work[0]
-    info = int_t(0)
-    zgeev(b"N", b"N", _ref(n, int_t), h.ctypes, _ref(n, int_t), one.ctypes, one.ctypes,
-          _ref(1, int_t), one.ctypes, _ref(1, int_t), one.ctypes, _ref(-1, int_t), one.ctypes,
-          ctypes.byref(info))
+    info = _LAPACK_INT(0)
+    zgeev(b"N", b"N", _ref(n), h.ctypes, _ref(n), one.ctypes, one.ctypes, _ref(1), one.ctypes,
+          _ref(1), one.ctypes, _ref(-1), one.ctypes, ctypes.byref(info))
     return int(one[0].real)
 
 
@@ -214,16 +231,15 @@ def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
             or not ZGEEV_SMLNUM <= anrm <= 1.0 / ZGEEV_SMLNUM):
         from scipy.linalg import eigvals
         return eigvals(ham.dense(), overwrite_a=True)
-    zhseqr, zgeev, int_t = lapack
+    zhseqr, zgeev = lapack
     h = ham.dense()  # Fortran-ordered complex N x N, overwritten by zhseqr
-    lwork = _zgeev_lwork(zgeev, int_t, h)
+    lwork = _zgeev_lwork(zgeev, h)
     w = np.empty(n, dtype=complex)
     work = np.empty(lwork, dtype=complex)
     z = np.empty(1, dtype=complex)  # not referenced with compz = 'N'
-    info = int_t(0)
-    zhseqr(b"E", b"N", _ref(n, int_t), _ref(1, int_t), _ref(n, int_t), h.ctypes,
-           _ref(n, int_t), w.ctypes, z.ctypes, _ref(1, int_t), work.ctypes,
-           _ref(lwork, int_t), ctypes.byref(info))
+    info = _LAPACK_INT(0)
+    zhseqr(b"E", b"N", _ref(n), _ref(1), _ref(n), h.ctypes, _ref(n), w.ctypes, z.ctypes,
+           _ref(1), work.ctypes, _ref(lwork), ctypes.byref(info))
     if info.value != 0:
         raise LinAlgError(f"eig algorithm (zhseqr) did not converge (info = {info.value})")
     return w
@@ -249,8 +265,11 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     k = min(k, ham.dimension)
     if ham.is_real:
         d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
-        vals, vecs = _eigh_tridiagonal(d, e, "i", (0, k - 1), vectors)
-        return vals.astype(complex), None if vecs is None else vecs.astype(complex)
+        if not vectors:
+            return _eigh_tridiagonal(d, e, "i", (0, k - 1)).astype(complex), None
+        from scipy.linalg import eigh_tridiagonal
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        return vals.astype(complex), vecs.astype(complex)
     if not vectors:
         vals = _hessenberg_eigvals(ham)
         return vals[np.lexsort((vals.imag, vals.real))[:k]], None
@@ -260,71 +279,42 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     return vals[order], vecs[:, order]
 
 
-# LAPACK routine names in the OpenBLAS of numpy and scipy wheels, and their integer type
-_LAPACK_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("scipy_{}_", ctypes.c_int32))
-
-
-def _lapack_routines(libs: Sequence, routines: Sequence[tuple[str, int]]):
-    """(routine, ..., integer type) from the first library in libs that exports
-    every (name, number of arguments) in routines, or None."""
-    for lib in libs:
-        for name, int_t in _LAPACK_SYMBOLS:
-            found = [getattr(lib, name.format(r), None) for r, _ in routines]
-            if None not in found:
-                for routine, (_, n_args) in zip(found, routines):
-                    routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
-                return (*found, int_t)
-    return None
-
-
-def _stebz_stein():
-    """(dstebz, dstein, integer type) from numpy's bundled OpenBLAS, or None
-    where that file or its routines are missing.  numpy's wheels (numpy 2
-    and later) export both with 64-bit integers."""
-    return _lapack_routines(_bundled_openblas("numpy"), (("dstebz", 18), ("dstein", 13)))
+def _stebz():
+    """(dstebz,) from scipy's bundled OpenBLAS, or None where that file or
+    the routine is missing."""
+    return _lapack_routines((("dstebz", 18),))
 
 
 @_converges
-def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range,
-                      vectors: bool):
-    """(values, vectors or None) of the real tridiagonal (d, e), bit for bit as
-    `scipy.linalg.eigh_tridiagonal(d, e, not vectors, select, select_range)`.
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range) -> np.ndarray:
+    """The ascending eigenvalues of the real tridiagonal (d, e), bit for bit as
+    `scipy.linalg.eigh_tridiagonal(d, e, True, select, select_range)`.
 
-    That runs LAPACK's bisection dstebz (abstol 0, ORDER 'E' for values only,
-    else 'B' followed by inverse iteration dstein and an argsort); the same
-    calls go here to numpy's bundled OpenBLAS (`_stebz_stein`), without
-    scipy.  eigh_tridiagonal itself runs where that file does not export them,
-    for N = 1, for non-finite input and where LAPACK reports an error.
+    That runs LAPACK's bisection dstebz (abstol 0, ORDER 'E'); the same call
+    goes here to scipy's bundled OpenBLAS (`_stebz`), without importing
+    scipy.  eigh_tridiagonal itself runs where that file does not export it
+    and for non-finite input; dstebz's error (info != 0) raises LinAlgError.
     """
     d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
-    n, lapack = len(d), _stebz_stein()
-    if lapack is not None and n > 1 and np.isfinite(d).all() and np.isfinite(e).all():
-        stebz, stein, int_t = lapack
-        vl, vu = map(float, select_range) if select == "v" else (0.0, 1.0)
-        il, iu = (1, 1) if select == "v" else (select_range[0] + 1, select_range[1] + 1)
-        m, nsplit, info = int_t(0), int_t(0), int_t(0)
-        w, iblock, isplit = np.zeros(n), np.zeros(n, int_t), np.zeros(n, int_t)
-        stebz(select.upper().encode(), b"B" if vectors else b"E", _ref(n, int_t),
-              _ref(vl, ctypes.c_double), _ref(vu, ctypes.c_double), _ref(il, int_t),
-              _ref(iu, int_t), _ref(0.0, ctypes.c_double), d.ctypes, e.ctypes,
-              ctypes.byref(m), ctypes.byref(nsplit), w.ctypes, iblock.ctypes, isplit.ctypes,
-              np.zeros(4 * n).ctypes, np.zeros(3 * n, int_t).ctypes, ctypes.byref(info))
-        w = w[:m.value]
-        if info.value == 0 and not vectors:
-            return w, None
-        if info.value == 0:
-            z = np.zeros((n, m.value), order="F")
-            stein(_ref(n, int_t), d.ctypes, e.ctypes, ctypes.byref(m), w.ctypes,
-                  iblock.ctypes, isplit.ctypes, z.ctypes, _ref(n, int_t),
-                  np.zeros(5 * n).ctypes, np.zeros(n, int_t).ctypes,
-                  np.zeros(m.value, int_t).ctypes, ctypes.byref(info))
-            if info.value == 0:
-                order = np.argsort(w)
-                return w[order], z[:, order]
-    from scipy.linalg import eigh_tridiagonal
-    found = eigh_tridiagonal(d, e, eigvals_only=not vectors, select=select,
-                             select_range=select_range)
-    return found if vectors else (found, None)
+    lapack = _stebz()
+    if lapack is None or not (np.isfinite(d).all() and np.isfinite(e).all()):
+        from scipy.linalg import eigh_tridiagonal
+        return eigh_tridiagonal(d, e, eigvals_only=True, select=select,
+                                select_range=select_range)
+    (stebz,) = lapack
+    n = len(d)
+    vl, vu = map(float, select_range) if select == "v" else (0.0, 1.0)
+    il, iu = (1, 1) if select == "v" else (select_range[0] + 1, select_range[1] + 1)
+    m, nsplit, info = _LAPACK_INT(0), _LAPACK_INT(0), _LAPACK_INT(0)
+    w, iblock, isplit = np.zeros(n), np.zeros(n, _LAPACK_INT), np.zeros(n, _LAPACK_INT)
+    stebz(select.upper().encode(), b"E", _ref(n), _ref(vl, ctypes.c_double),
+          _ref(vu, ctypes.c_double), _ref(il), _ref(iu), _ref(0.0, ctypes.c_double),
+          d.ctypes, e.ctypes, ctypes.byref(m), ctypes.byref(nsplit), w.ctypes, iblock.ctypes,
+          isplit.ctypes, np.zeros(4 * n).ctypes, np.zeros(3 * n, _LAPACK_INT).ctypes,
+          ctypes.byref(info))
+    if info.value != 0:
+        raise LinAlgError(f"stebz did not converge (LAPACK info = {info.value})")
+    return w[:m.value]
 
 
 def _openblas_setters() -> tuple:
@@ -332,7 +322,7 @@ def _openblas_setters() -> tuple:
     bundles, where the Arnoldi solve runs.  Empty where it does not export
     the symbol (another BLAS, OpenBLAS before 0.3.27).
     """
-    setters = [lib.openblas_set_num_threads_local for lib in _bundled_openblas("scipy")
+    setters = [lib.openblas_set_num_threads_local for lib in _bundled_openblas()
                if hasattr(lib, "openblas_set_num_threads_local")]
     for setter in setters:
         setter.argtypes = [ctypes.c_int]
@@ -410,6 +400,7 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     return None
 
 
+@_converges
 def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectrum:
     """Every eigenpair with Re E < CONTINUUM_EDGE, sorted by (Re, Im); a
     complex well's Arnoldi eigenvalues to within accuracy.
@@ -437,9 +428,10 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
         d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
         window = (v.real.min() - 1.0, CONTINUUM_EDGE)
         if ham.is_real:
-            vals, vecs = _eigh_tridiagonal(d, e, "v", window, True)
+            from scipy.linalg import eigh_tridiagonal
+            vals, vecs = eigh_tridiagonal(d, e, select="v", select_range=window)
         else:
-            m = len(_eigh_tridiagonal(d, e, "v", window, False)[0])
+            m = len(_eigh_tridiagonal(d, e, "v", window))
             sigma = complex(0.5 * (v.real.min() + CONTINUUM_EDGE),
                             0.5 * (v.imag.min() + v.imag.max()))
             found = _certified_nearest(ham, sigma,

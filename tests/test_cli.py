@@ -1,6 +1,8 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import fields
@@ -465,7 +467,7 @@ _OUT_OF_RANGE = {
     # hbar^2/(2m h^2) is about 3e197: LAPACK's bisection does not converge
     "D": ("[model]\nfamily = poschl_teller\nv0 = 0\nq = 1\n"
           "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n", ["verify"], 2,
-          "error: "),
+          "error: stebz did not converge (LAPACK info = 4)\n"),
     # the window is 4e301 wide, so h**2 overflows
     "E": ("[model]\nfamily = poschl_teller_pt\nv0 = 3\nq = 2\nalpha = 1e-300\n"
           "\n[grid]\nn_points = 16\n", ["verify"], 1, _RANGE),
@@ -488,6 +490,13 @@ _OUT_OF_RANGE = {
     "J": ("[model]\nfamily = morse_general\nv1 = 1e307\nv2 = 1e307\n"
           "\n[grid]\nn_points = 101\n", ["verify"], 1,
           "error: V or hbar^2/(2m h^2) is not finite on this grid\n"),
+    # the scan's first point is a real well whose eigenvector solve's bisection does not converge
+    "K": ("[model]\nfamily = poschl_teller\nv0 = 1e190\nq = 1\n"
+          "\n[units]\nhbar = 0.1\nmass = 1e-200\n\n[grid]\nn_points = 17\n"
+          "\n[run]\nscan1_param = v0\nscan1_component = re\nscan1_start = 1e190\n"
+          "scan1_stop = 2e190\nscan1_count = 2\nscan2_param = q\nscan2_component = im\n"
+          "scan2_start = 0\nscan2_stop = 0.1\nscan2_count = 2\n", ["scan"], 2,
+          "error: stebz (eigh_tridiagonal) did not converge (LAPACK info=1)\n"),
 }
 
 
@@ -500,6 +509,22 @@ def test_out_of_range_config_ends_in_one_error_line(tmp_path, capsys, case):
         out, err = capsys.readouterr()
         assert out == "", (command, out)
         assert err.startswith(message) and err.count("\n") == 1, (command, err)
+
+
+def test_failed_bisection_leaves_scipy_unloaded(tmp_path):
+    # the bisection's failure ends the run; no second solver reruns it
+    text, _, code, message = _OUT_OF_RANGE["D"]
+    cfg = write_cfg(tmp_path, text)
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", (
+        "import sys\n"
+        "from susyhier.cli import main\n"
+        f"code = main(['verify', '--config', {cfg!r}])\n"
+        "assert 'scipy' not in sys.modules, 'a failed bisection loaded scipy'\n"
+        "sys.exit(code)\n")], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
 
 
 _MAGNITUDES = st.sampled_from([0.0, 1e-300, 1e-150, 0.5, 1.0, 3.0, 25.0, 1e150, 1e300])

@@ -1,9 +1,12 @@
 """The complex eigenvalue-only solve: zhseqr on H, without zgeev's no-op preprocessing."""
+import importlib.util
 import os
+import pathlib
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from scipy.linalg import LinAlgError, eigvals
 from scipy.linalg.lapack import zgebal, zgeev_lwork, zgehrd, zgehrd_lwork
 
 import susyhier
+import susyhier.cli
 from susyhier import (DiscretizedHamiltonian, Grid, MorsePT1, MorsePT2, NotConvergedError,
                       PoschlTeller, PoschlTellerPT, UnitSystem, build_hamiltonian,
                       eigen_spectrum)
@@ -98,18 +102,18 @@ def test_fresh_process_solve_is_bitwise_eigvals_without_scipy():
 
 @pytest.mark.parametrize("n", [99, 199, 599, 1199])
 def test_workspace_query_is_zgeev_lwork(n):
-    _, zgeev, int_t = verifier_mod._zhseqr()
+    _, zgeev = verifier_mod._zhseqr()
     h = np.zeros((n, n), dtype=complex, order="F")
     expected = int(zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
-    assert verifier_mod._zgeev_lwork(zgeev, int_t, h) == expected
+    assert verifier_mod._zgeev_lwork(zgeev, h) == expected
 
 
 def test_zhseqr_failure_raises_not_converged_error(monkeypatch):
     def failing(*args):
         args[-1]._obj.value = 1  # info
 
-    _, zgeev, int_t = verifier_mod._zhseqr()
-    monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: (failing, zgeev, int_t))
+    _, zgeev = verifier_mod._zhseqr()
+    monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: (failing, zgeev))
     ham = _hamiltonian("morse_pt2", 101)
     with pytest.raises(NotConvergedError, match="did not converge") as raised:
         eigen_spectrum(ham, 5, vectors=False)
@@ -166,7 +170,7 @@ def test_missing_zhseqr_falls_back_to_eigvals(monkeypatch):
 
 
 def test_scipy_openblas_not_found_falls_back_to_eigvals(monkeypatch):
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda package: ())
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda: ())
     assert verifier_mod._zhseqr() is None
     ham = _hamiltonian("morse_pt1", 201)
     expected = eigvals(ham.dense())
@@ -175,42 +179,46 @@ def test_scipy_openblas_not_found_falls_back_to_eigvals(monkeypatch):
     assert calls == [(199, 199)]
 
 
+# the files of scipy's bundled OpenBLAS, looked up before any test fakes the lookup
+REAL_OPENBLAS = verifier_mod._bundled_openblas()
+
+
 @pytest.fixture
 def fake_site(tmp_path, monkeypatch):
-    """A directory on sys.path holding the package `fakepkg`, with
-    _bundled_openblas's cache emptied before the test and again after it."""
-    (tmp_path / "fakepkg").mkdir()
-    (tmp_path / "fakepkg" / "__init__.py").write_text("", encoding="utf-8")
-    monkeypatch.syspath_prepend(str(tmp_path))
+    """A directory that the lookup takes for the one holding scipy's package,
+    with _bundled_openblas's cache emptied before the test and again after it."""
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: types.SimpleNamespace(
+        submodule_search_locations=[str(tmp_path / name)]))
     verifier_mod._bundled_openblas.cache_clear()
     yield tmp_path
     verifier_mod._bundled_openblas.cache_clear()
 
 
 def test_bundled_openblas_without_libs_directory(fake_site):
-    assert verifier_mod._bundled_openblas("fakepkg") == ()
+    assert verifier_mod._bundled_openblas() == ()
 
 
 def test_bundled_openblas_skips_a_file_that_is_not_a_library(fake_site):
-    libs = fake_site / "fakepkg.libs"
-    libs.mkdir()
-    (libs / "libscipy_openblas-x.so").write_bytes(b"not a shared library")
-    real = verifier_mod._bundled_openblas("scipy")
+    real = [lib._name for lib in REAL_OPENBLAS]
     if not real:
         pytest.skip("scipy's wheel bundles no OpenBLAS here")
-    os.symlink(real[0]._name, libs / "libscipy_openblas-y.so")
-    found = verifier_mod._bundled_openblas("fakepkg")
+    libs = fake_site / "scipy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas-x.so").write_bytes(b"not a shared library")
+    os.symlink(real[0], libs / "libscipy_openblas-y.so")
+    found = verifier_mod._bundled_openblas()
     assert [os.path.basename(lib._name) for lib in found] == ["libscipy_openblas-y.so"]
 
 
-def test_bundled_openblas_of_a_missing_package(fake_site):
-    assert verifier_mod._bundled_openblas("fakepkg_not_installed") == ()
+def test_bundled_openblas_of_a_missing_package(fake_site, monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    assert verifier_mod._bundled_openblas() == ()
 
 
 @pytest.mark.parametrize("user_timeout", [None, "26"], ids=["unset", "user-set"])
 def test_bundled_openblas_restores_the_environment_after_a_failed_load(user_timeout, fake_site,
                                                                      monkeypatch):
-    libs = fake_site / "fakepkg.libs"
+    libs = fake_site / "scipy.libs"
     libs.mkdir()
     (libs / "libscipy_openblas-x.so").write_bytes(b"not a shared library")
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
@@ -223,41 +231,75 @@ def test_bundled_openblas_restores_the_environment_after_a_failed_load(user_time
         raise OSError(f"{path}: invalid ELF header")
 
     monkeypatch.setattr(verifier_mod.ctypes, "CDLL", failing_load)
-    assert verifier_mod._bundled_openblas("fakepkg") == ()
+    assert verifier_mod._bundled_openblas() == ()
     assert seen == [user_timeout or str(verifier_mod.OPENBLAS_THREAD_TIMEOUT)]
     assert os.environ.get("OPENBLAS_THREAD_TIMEOUT") == user_timeout
 
 
 def test_concurrent_first_lookups_each_load_with_the_short_idle_spin(fake_site, monkeypatch):
-    # the second lookup starts while the first is loading, and reads the
-    # variable after the first one has finished
-    for package in ("fakepkg", "fakepkg2"):
-        (fake_site / package).mkdir(exist_ok=True)
-        (fake_site / package / "__init__.py").write_text("", encoding="utf-8")
-        (fake_site / f"{package}.libs").mkdir()
-        (fake_site / f"{package}.libs" / "libscipy_openblas-x.so").write_bytes(b"")
+    # two uncached lookups: the second starts while the first is loading,
+    # and reads the variable after the first one has finished
+    libs = fake_site / "scipy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas-x.so").write_bytes(b"")
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
     first_loading = threading.Event()
     seen = {}
 
     def slow_load(path):
-        if "fakepkg2" in path:
-            time.sleep(0.2)
-        else:
+        if threading.current_thread() is first:
             first_loading.set()
             time.sleep(0.05)
-        seen[os.path.basename(os.path.dirname(path))] = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+        else:
+            time.sleep(0.2)
+        seen[threading.current_thread().name] = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
         raise OSError(f"{path}: invalid ELF header")
 
     monkeypatch.setattr(verifier_mod.ctypes, "CDLL", slow_load)
-    first = threading.Thread(target=verifier_mod._bundled_openblas, args=("fakepkg",))
+    lookup = verifier_mod._bundled_openblas.__wrapped__
+    first = threading.Thread(target=lookup, name="first")
     first.start()
     assert first_loading.wait(10)
-    assert verifier_mod._bundled_openblas("fakepkg2") == ()
-    first.join()
+    assert lookup() == ()
+    first.join(10)
+    assert not first.is_alive()
     spin = str(verifier_mod.OPENBLAS_THREAD_TIMEOUT)
-    assert seen == {"fakepkg.libs": spin, "fakepkg2.libs": spin}
+    assert seen == {"first": spin, threading.current_thread().name: spin}
     assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+
+
+REAL_WELL = ("[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n\n"
+             "[grid]\nx_min = -3\nx_max = 30\nn_points = 400\n\n"
+             "[run]\nmode = self-consistent\nn_max = 3\ntol_abs = 0.1\n")
+COMPLEX_WELL = ("[model]\nfamily = poschl_teller\nv0 = 8+1i\nq = 1+0.3i\n\n"
+                "[grid]\nn_points = 201\n\n[run]\nn_max = 1\n")
+
+
+@pytest.mark.parametrize("text", [REAL_WELL, COMPLEX_WELL], ids=["real", "complex"])
+def test_verify_takes_its_routines_from_scipy_libs(text, tmp_path, monkeypatch, capsys):
+    lookup = verifier_mod._bundled_openblas
+    if verifier_mod._stebz() is None or verifier_mod._zhseqr() is None:
+        pytest.skip("scipy's bundled OpenBLAS does not export dstebz, zhseqr and zgeev")
+    seen = []
+
+    def recording():
+        libs = lookup()
+        seen.extend(os.path.basename(os.path.dirname(lib._name)) for lib in libs)
+        return libs
+
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", recording)
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    assert susyhier.cli.main(["verify", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert seen and set(seen) == {"scipy.libs"}, seen
+
+
+def test_no_source_file_names_numpy_libs():
+    src = pathlib.Path(susyhier.__file__).parent
+    naming = [path.name for path in sorted(src.glob("*.py"))
+              if "numpy.libs" in path.read_text(encoding="utf-8")]
+    assert naming == []
 
 
 SPIN_PROBE = """
@@ -269,7 +311,7 @@ if sys.argv[1]:
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
         fh.write("[model]\\nfamily = morse_pt1\\nv1 = 16\\nv2 = 12\\n\\n[grid]\\nn_points = 201\\n")
     assert main(["verify", "--config", sys.argv[1], "--out", sys.argv[1] + ".csv"]) == 0
-lib = verifier._bundled_openblas("scipy")[0]
+lib = verifier._bundled_openblas()[0]
 print(lib.openblas_thread_timeout(), lib.scipy_openblas_get_num_threads(),
       os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 """
@@ -279,7 +321,7 @@ def _spin_probe(config, before="", user_timeout=None):
     """(idle-spin exponent, thread count, OPENBLAS_THREAD_TIMEOUT or None) that
     scipy's OpenBLAS reads in a fresh process after `before` and, given a
     config path, a verify of a complex well."""
-    real = verifier_mod._bundled_openblas("scipy")
+    real = verifier_mod._bundled_openblas()
     if not real or not hasattr(real[0], "openblas_thread_timeout"):
         pytest.skip("scipy's wheel bundles no OpenBLAS here")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}

@@ -129,18 +129,18 @@ def _loaded_after(tmp_path, *runs):
 
 
 @pytest.fixture(scope="module")
-def numpy_lapack():
-    """Skip where numpy's BLAS exports no dstebz and dstein, so real wells fall back to scipy."""
+def scipy_libs_dstebz():
+    """Skip where scipy's bundled OpenBLAS exports no dstebz, so real wells fall back to scipy."""
     proc = _python("import sys; from susyhier import verifier; "
-                   "sys.exit(verifier._stebz_stein() is None)")
+                   "sys.exit(verifier._stebz() is None)")
     if proc.returncode != 0:
-        pytest.skip("numpy's BLAS exports no dstebz and dstein")
+        pytest.skip("scipy's bundled OpenBLAS exports no dstebz")
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "wavefunction"])
 def test_real_well_commands_leave_scipy_unloaded(command, tmp_path, request):
     if command == "verify":
-        request.getfixturevalue("numpy_lapack")
+        request.getfixturevalue("scipy_libs_dstebz")
     assert _loaded_after(tmp_path, (command, REAL_WELL)) == set()
 
 
@@ -170,7 +170,7 @@ assert len(verifier._openblas_setters()) == len(exporting), exporting
 """
 
 
-def test_thread_cap_sees_scipy_openblas_after_a_real_well_verify(tmp_path, numpy_lapack):
+def test_thread_cap_sees_scipy_openblas_after_a_real_well_verify(tmp_path, scipy_libs_dstebz):
     real, scan = tmp_path / "real.ini", tmp_path / "scan.ini"
     real.write_text(REAL_WELL, encoding="utf-8")
     scan.write_text(SCAN, encoding="utf-8")
@@ -278,9 +278,9 @@ assert "numpy" in sys.modules and "scipy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-def test_lapack_is_found_after_numpy_loads_late(tmp_path, numpy_lapack):
-    # the CLI starts without numpy, so dstebz and dstein are looked up only
-    # after a command has loaded it; they must come from numpy's OpenBLAS
+def test_lapack_is_found_after_numpy_loads_late(tmp_path, scipy_libs_dstebz):
+    # the CLI starts without numpy, so dstebz is looked up only after a
+    # command has loaded numpy; it must come from scipy's bundled OpenBLAS
     path = tmp_path / "real.ini"
     path.write_text(REAL_WELL, encoding="utf-8")
     proc = _python(f"""
@@ -290,7 +290,7 @@ assert main(["spectrum", "--config", {str(path)!r}, "--out", {str(path)!r} + ".s
 assert "numpy" not in sys.modules
 assert main(["verify", "--config", {str(path)!r}, "--out", {str(path)!r} + ".v"]) == 0
 from susyhier import verifier
-assert verifier._stebz_stein() is not None
+assert verifier._stebz() is not None
 assert "scipy" not in sys.modules
 """)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,8 @@
-"""The real-well solve: dstebz and dstein from numpy's bundled OpenBLAS, without scipy.
+"""The real-well eigenvalue solve: dstebz from scipy's bundled OpenBLAS, without scipy.
 
-`_eigh_tridiagonal` must give `scipy.linalg.eigh_tridiagonal`'s values and
-vectors bit for bit, through every bundled library that exports the two
-routines (numpy's and scipy's) and through the fallback where none does.
+`_eigh_tridiagonal` must give `scipy.linalg.eigh_tridiagonal`'s eigenvalues
+bit for bit, through every bundled library that exports dstebz and through
+the fallback where none does.
 """
 import os
 
@@ -10,22 +10,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from susyhier import Grid, MorseGeneral, PoschlTeller, build_hamiltonian
+from susyhier import Grid, MorseGeneral, NotConvergedError, PoschlTeller, build_hamiltonian
 from susyhier import verifier as verifier_mod
 
 
-def _assert_bitwise(d, e, select, select_range, vectors):
-    vals, vecs = verifier_mod._eigh_tridiagonal(d, e, select, select_range, vectors)
-    expected = eigh_tridiagonal(d, e, eigvals_only=not vectors, select=select,
+def _assert_bitwise(d, e, select, select_range):
+    vals = verifier_mod._eigh_tridiagonal(d, e, select, select_range)
+    expected = eigh_tridiagonal(d, e, eigvals_only=True, select=select,
                                 select_range=select_range)
-    if vectors:
-        assert np.array_equal(vals, expected[0])
-        assert np.array_equal(vecs, expected[1])
-    else:
-        assert np.array_equal(vals, expected)
-        assert vecs is None
+    assert np.array_equal(vals, expected)
 
 
 def _solver_matrices():
@@ -55,12 +50,11 @@ SOLVER_MATRICES = _solver_matrices()
 MATRIX_IDS = [f"N{len(d)}" for d, *_ in SOLVER_MATRICES]
 
 
-@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
 @pytest.mark.parametrize("index", range(len(SOLVER_MATRICES)), ids=MATRIX_IDS)
-def test_solver_matrices_bitwise(index, vectors):
+def test_solver_matrices_bitwise(index):
     d, e, k, window = SOLVER_MATRICES[index]
-    _assert_bitwise(d, e, "i", (0, k - 1), vectors)
-    _assert_bitwise(d, e, "v", window, vectors)
+    _assert_bitwise(d, e, "i", (0, k - 1))
+    _assert_bitwise(d, e, "v", window)
 
 
 @st.composite
@@ -76,28 +70,26 @@ def tridiagonals(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=tridiagonals(), vectors=st.booleans())
-def test_random_tridiagonals_bitwise(case, vectors):
+@given(case=tridiagonals())
+def test_random_tridiagonals_bitwise(case):
     d, e, k, window = case
-    _assert_bitwise(d, e, "i", (0, k - 1), vectors)
-    _assert_bitwise(d, e, "v", window, vectors)
+    _assert_bitwise(d, e, "i", (0, k - 1))
+    _assert_bitwise(d, e, "v", window)
 
 
 def _exporting_libraries():
-    bundled = verifier_mod._bundled_openblas("numpy") + verifier_mod._bundled_openblas("scipy")
-    return [pytest.param(lib, id=os.path.basename(lib._name)) for lib in bundled
-            if any(hasattr(lib, name.format("dstebz")) for name, _ in verifier_mod._LAPACK_SYMBOLS)]
+    return [pytest.param(lib, id=os.path.basename(lib._name))
+            for lib in verifier_mod._bundled_openblas()
+            if hasattr(lib, verifier_mod._LAPACK_SYMBOL.format("dstebz"))]
 
 
 @pytest.mark.parametrize("lib", _exporting_libraries())
 def test_each_exporting_library_bitwise(lib, monkeypatch):
-    # numpy's wheel exports the int64 routines, scipy's the int32 ones
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda package: (lib,))
-    assert verifier_mod._stebz_stein() is not None
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda: (lib,))
+    assert verifier_mod._stebz() is not None
     d, e, k, window = SOLVER_MATRICES[0]
-    for vectors in (False, True):
-        _assert_bitwise(d, e, "i", (0, k - 1), vectors)
-        _assert_bitwise(d, e, "v", window, vectors)
+    _assert_bitwise(d, e, "i", (0, k - 1))
+    _assert_bitwise(d, e, "v", window)
 
 
 def _recording_eigh_tridiagonal(monkeypatch):
@@ -112,29 +104,50 @@ def _recording_eigh_tridiagonal(monkeypatch):
 
 
 def test_no_exporting_library_falls_back_bitwise(monkeypatch):
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda package: ())
-    assert verifier_mod._stebz_stein() is None
+    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda: ())
+    assert verifier_mod._stebz() is None
     calls = _recording_eigh_tridiagonal(monkeypatch)
     d, e, k, window = SOLVER_MATRICES[-1]
-    for vectors in (False, True):
-        _assert_bitwise(d, e, "i", (0, k - 1), vectors)
-        _assert_bitwise(d, e, "v", window, vectors)
-    assert calls == [len(d)] * 4
+    _assert_bitwise(d, e, "i", (0, k - 1))
+    _assert_bitwise(d, e, "v", window)
+    assert calls == [len(d)] * 2
 
 
 def test_lapack_path_does_not_call_scipy(monkeypatch):
-    if verifier_mod._stebz_stein() is None:
-        pytest.skip("numpy's bundled OpenBLAS does not export dstebz and dstein")
+    if verifier_mod._stebz() is None:
+        pytest.skip("scipy's bundled OpenBLAS does not export dstebz")
     calls = _recording_eigh_tridiagonal(monkeypatch)
     d, e, k, window = SOLVER_MATRICES[-1]
-    verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1), True)
-    verifier_mod._eigh_tridiagonal(d, e, "v", window, False)
+    verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1))
+    verifier_mod._eigh_tridiagonal(d, e, "v", window)
     assert calls == []
 
 
 def test_empty_window_bitwise():
     d, e, _, _ = SOLVER_MATRICES[-1]
-    _assert_bitwise(d, e, "v", (d.min() - 10.0, d.min() - 5.0), True)
+    _assert_bitwise(d, e, "v", (d.min() - 10.0, d.min() - 5.0))
+
+
+@pytest.mark.parametrize("select, select_range", [
+    ("i", (0, 0)), ("v", (-1.0, 2.5)), ("v", (2.5, 3.0)), ("v", (-1.0, 1.5))],
+    ids=["index", "window-ends-at-it", "window-starts-at-it", "window-below-it"])
+def test_one_point_bitwise(select, select_range):
+    # dstebz reads no off-diagonal at N = 1, where eigh_tridiagonal answers itself
+    _assert_bitwise(np.array([2.5]), np.zeros(0), select, select_range)
+
+
+def test_stebz_failure_raises_not_converged_error(monkeypatch):
+    def failing(*args):
+        args[-1]._obj.value = 4  # info
+
+    monkeypatch.setattr(verifier_mod, "_stebz", lambda: (failing,))
+    calls = _recording_eigh_tridiagonal(monkeypatch)
+    d, e, k, _ = SOLVER_MATRICES[-1]
+    with pytest.raises(NotConvergedError, match=r"^stebz did not converge \(LAPACK info = 4\)$") \
+            as raised:
+        verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1))
+    assert isinstance(raised.value.__cause__, LinAlgError)
+    assert calls == []
 
 
 def test_non_finite_input_raises_as_eigh_tridiagonal_does():
@@ -144,5 +157,5 @@ def test_non_finite_input_raises_as_eigh_tridiagonal_does():
     with pytest.raises(ValueError) as expected:
         eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     with pytest.raises(ValueError) as raised:
-        verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1), True)
+        verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1))
     assert str(raised.value) == str(expected.value)

@@ -639,11 +639,15 @@ def scipy_openblas_thread_count():
 
 
 def numpy_openblas_thread_count():
-    """A getter for the thread count of numpy's bundled OpenBLAS, or None where absent."""
+    """A getter for the thread count of the OpenBLAS that numpy's wheel
+    bundles in `numpy.libs`, or None where absent."""
     import ctypes
+    import glob
+    import os
 
-    for lib in verifier_mod._bundled_openblas("numpy"):
-        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
         if getter is not None:
             getter.restype = ctypes.c_int
             return getter
