@@ -100,9 +100,11 @@ def groundstate_wavefunction(model: PotentialModel, l: int, grid: Grid,
         raise NotNormalizableError("samples overflow on this grid; shrink the domain")
     if not model.structurally_hermitian():
         return WavefunctionSample(grid, values, 1.0, QuantumNumbers(0, l), False)
-    dens = np.abs(values) ** 2
-    # trapezoid rule, in the same operation order as scipy.integrate.trapezoid
-    norm_sq = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))
+    # trapezoid rule, in the same operation order as scipy.integrate.trapezoid;
+    # finite samples whose square overflows give inf, which the check below refuses
+    with np.errstate(over="ignore"):
+        dens = np.abs(values) ** 2
+        norm_sq = float(np.add.reduce(np.diff(x) * (dens[1:] + dens[:-1]) / 2.0))
     if not (math.isfinite(norm_sq) and norm_sq > 0.0):
         raise NotNormalizableError("quadrature of |psi|^2 is not finite and positive")
     c = 1.0 / math.sqrt(norm_sq)

@@ -3,10 +3,10 @@
 Three-point Laplacian on a uniform grid with Dirichlet walls.  Convergence
 is certified by comparing spacings h and h/2 and reporting the
 Richardson-extrapolated eigenvalues; `verify` asks for eigenvalues only.
-Those come from LAPACK through ctypes, and every routine called that way
-comes from the OpenBLAS file that scipy's wheel bundles, opened by path
-beside scipy's package directory (`_bundled_openblas`), so `verify` imports
-no scipy.  A real well runs the tridiagonal bisection `dstebz`
+Those come from LAPACK through ctypes, from the OpenBLAS file that scipy's
+wheel bundles, opened once by path beside scipy's package directory
+(`_bundled_openblas`); each routine is looked up and typed once (`_lapack`),
+so `verify` imports no scipy.  A real well runs the tridiagonal bisection `dstebz`
 (`_eigh_tridiagonal`), bit for bit `scipy.linalg.eigh_tridiagonal`'s.  A
 complex well runs the Hessenberg QR `zhseqr` on H directly
 (`_hessenberg_eigvals`): H is already tridiagonal, so the balancing and the
@@ -147,17 +147,16 @@ def _ref(value, kind=_LAPACK_INT):
 
 
 @functools.lru_cache(maxsize=None)
-def _bundled_openblas() -> tuple:
-    """The OpenBLAS files that scipy's wheel bundles in `scipy.libs`, beside
-    scipy's package directory, as ctypes libraries in path order; found
-    without importing scipy, and without the files that do not load."""
+def _bundled_openblas():
+    """The OpenBLAS file that scipy's wheel bundles in `scipy.libs`, beside
+    scipy's package directory, as a ctypes library: the first in path order
+    that loads, found without importing scipy; None where none loads."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
-        return ()
+        return None
     site = os.path.dirname(os.path.abspath(spec.submodule_search_locations[0]))
     paths = sorted(glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")))
-    libs = []
-    # a file loads with the short idle spin unless the user set one, or it was
+    # the file loads with the short idle spin unless the user set one, or it was
     # loaded before; first calls on two threads take turns with the variable
     with _openblas_load_lock:
         preset = "OPENBLAS_THREAD_TIMEOUT" in os.environ
@@ -165,34 +164,26 @@ def _bundled_openblas() -> tuple:
         try:
             for path in paths:
                 with suppress(OSError):
-                    libs.append(ctypes.CDLL(path))
+                    return ctypes.CDLL(path)
         finally:
             if not preset:
                 os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
-    return tuple(libs)
-
-
-def _lapack_routines(routines: Sequence[tuple[str, int]]):
-    """The routines, one for each (name, number of arguments), from the first
-    file of scipy's bundled OpenBLAS that exports them all, or None."""
-    for lib in _bundled_openblas():
-        found = [getattr(lib, _LAPACK_SYMBOL.format(r), None) for r, _ in routines]
-        if None not in found:
-            for routine, (_, n_args) in zip(found, routines):
-                routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
-            return tuple(found)
     return None
 
 
-def _zhseqr():
-    """(zhseqr, zgeev) from scipy's bundled OpenBLAS, or None where that file
-    or its routines are missing.
+@functools.lru_cache(maxsize=None)
+def _lapack(name: str, n_args: int):
+    """LAPACK routine `name` of scipy's bundled OpenBLAS, typed for its n_args
+    pointer arguments, or None where that file or the routine is missing.
 
-    scipy.linalg.eigvals runs zgeev in that library.  numpy's OpenBLAS
-    exports zhseqr too, but it is another OpenBLAS version, whose roundoff
-    differs from eigvals'.
+    scipy.linalg runs its LAPACK calls in that library.  numpy's OpenBLAS
+    exports the routines too, but it is another OpenBLAS version, whose
+    roundoff differs from scipy's.
     """
-    return _lapack_routines((("zhseqr", 13), ("zgeev", 14)))
+    routine = getattr(_bundled_openblas(), _LAPACK_SYMBOL.format(name), None)
+    if routine is not None:
+        routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
+    return routine
 
 
 def _zgeev_lwork(zgeev, h: np.ndarray) -> int:
@@ -221,17 +212,16 @@ def _hessenberg_eigvals(ham: DiscretizedHamiltonian) -> np.ndarray:
     so zhseqr's own workspace query would change the roundoff.  Where zgeev
     would scale H first (max |H| out of range) or could permute it (a zero
     off-diagonal), where H is not finite (eigvals raises ValueError) and
-    where scipy's OpenBLAS is not found (`_zhseqr`), eigvals runs.
+    where scipy's OpenBLAS does not export zhseqr and zgeev, eigvals runs.
     """
     n = ham.dimension
-    lapack = _zhseqr()
+    zhseqr, zgeev = _lapack("zhseqr", 13), _lapack("zgeev", 14)
     # NaN fails the range test too, so a non-finite H reaches eigvals' check
     anrm = np.abs(ham.diagonal).max(initial=abs(ham.off_diagonal))
-    if (lapack is None or ham.off_diagonal == 0
+    if (zhseqr is None or zgeev is None or ham.off_diagonal == 0
             or not ZGEEV_SMLNUM <= anrm <= 1.0 / ZGEEV_SMLNUM):
         from scipy.linalg import eigvals
         return eigvals(ham.dense(), overwrite_a=True)
-    zhseqr, zgeev = lapack
     h = ham.dense()  # Fortran-ordered complex N x N, overwritten by zhseqr
     lwork = _zgeev_lwork(zgeev, h)
     w = np.empty(n, dtype=complex)
@@ -279,29 +269,21 @@ def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
     return vals[order], vecs[:, order]
 
 
-def _stebz():
-    """(dstebz,) from scipy's bundled OpenBLAS, or None where that file or
-    the routine is missing."""
-    return _lapack_routines((("dstebz", 18),))
-
-
-@_converges
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range) -> np.ndarray:
     """The ascending eigenvalues of the real tridiagonal (d, e), bit for bit as
     `scipy.linalg.eigh_tridiagonal(d, e, True, select, select_range)`.
 
     That runs LAPACK's bisection dstebz (abstol 0, ORDER 'E'); the same call
-    goes here to scipy's bundled OpenBLAS (`_stebz`), without importing
-    scipy.  eigh_tridiagonal itself runs where that file does not export it
-    and for non-finite input; dstebz's error (info != 0) raises LinAlgError.
+    goes here to scipy's bundled OpenBLAS, without importing scipy.
+    eigh_tridiagonal itself runs where that file does not export it and for
+    non-finite input; dstebz's error (info != 0) raises LinAlgError.
     """
     d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
-    lapack = _stebz()
-    if lapack is None or not (np.isfinite(d).all() and np.isfinite(e).all()):
+    stebz = _lapack("dstebz", 18)
+    if stebz is None or not (np.isfinite(d).all() and np.isfinite(e).all()):
         from scipy.linalg import eigh_tridiagonal
         return eigh_tridiagonal(d, e, eigvals_only=True, select=select,
                                 select_range=select_range)
-    (stebz,) = lapack
     n = len(d)
     vl, vu = map(float, select_range) if select == "v" else (0.0, 1.0)
     il, iu = (1, 1) if select == "v" else (select_range[0] + 1, select_range[1] + 1)
@@ -317,19 +299,6 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range) -
     return w[:m.value]
 
 
-def _openblas_setters() -> tuple:
-    """`openblas_set_num_threads_local` of the OpenBLAS that scipy's wheel
-    bundles, where the Arnoldi solve runs.  Empty where it does not export
-    the symbol (another BLAS, OpenBLAS before 0.3.27).
-    """
-    setters = [lib.openblas_set_num_threads_local for lib in _bundled_openblas()
-               if hasattr(lib, "openblas_set_num_threads_local")]
-    for setter in setters:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-    return tuple(setters)
-
-
 # the setter changes a thread count the whole process shares, so holders of
 # the cap on different threads take turns
 _blas_cap_lock = threading.Lock()
@@ -342,16 +311,19 @@ def _one_blas_thread():
     ARPACK's reverse-communication loop makes many small BLAS calls, on
     which a second OpenBLAS thread only spins; numpy's OpenBLAS keeps its
     count.  The count is restored on exit, also when the block raises, and
-    a block on another thread starts only after that; without a setter this
-    does nothing.
+    a block on another thread starts only after that; where that file does
+    not export `openblas_set_num_threads_local` (another BLAS, OpenBLAS
+    before 0.3.27) this does nothing.  ctypes passes and returns C ints by
+    default, which is the setter's signature.
     """
+    setter = getattr(_bundled_openblas(), "openblas_set_num_threads_local", None)
     with _blas_cap_lock:
-        saved = [(setter, setter(1)) for setter in _openblas_setters()]
+        saved = None if setter is None else setter(1)
         try:
             yield
         finally:
-            for setter, count in saved:
-                setter(count)
+            if setter is not None:
+                setter(saved)
 
 
 def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from susyhier.cli import _COMMANDS, main
 from susyhier.potentials import FAMILIES
@@ -557,6 +557,10 @@ _FINITE_COLUMNS = {"E_re", "E_im", "numeric_re", "numeric_im", "abs_err", "psi_r
 @settings(max_examples=200, deadline=None)
 @given(text=_extreme_configs(), command=st.sampled_from(["spectrum", "verify", "wavefunction"]),
        mode=st.sampled_from(["paper-literal", "self-consistent"]))
+# finite ground-state samples whose squares overflow in the normalization
+@example(text="[model]\nfamily = poschl_teller\nv0 = 0.0+0.0i\nq = 0.5+0.0i\nalpha = 1e-300\n"
+              "[grid]\nn_points = 16\n[units]\nhbar = 1e-150\nmass = 1e-300\ne_sq = 0.5\n",
+         command="wavefunction", mode="paper-literal")
 def test_extreme_configs_never_raise(text, command, mode):
     """main() returns a documented exit code, and exit 1 comes with an `error:` line."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -31,6 +31,8 @@ WELLS = {
 # on the workspace size it is given
 N_POINTS = (101, 201, 601)
 CASES = [pytest.param(name, n, id=f"{name}-{n - 2}") for name in WELLS for n in N_POINTS]
+# (name, number of arguments) of every LAPACK routine the verifier calls through ctypes
+ROUTINES = (("zhseqr", 13), ("zgeev", 14), ("dstebz", 18))
 
 
 def _hamiltonian(name, n_points):
@@ -102,7 +104,7 @@ def test_fresh_process_solve_is_bitwise_eigvals_without_scipy():
 
 @pytest.mark.parametrize("n", [99, 199, 599, 1199])
 def test_workspace_query_is_zgeev_lwork(n):
-    _, zgeev = verifier_mod._zhseqr()
+    zgeev = verifier_mod._lapack("zgeev", 14)
     h = np.zeros((n, n), dtype=complex, order="F")
     expected = int(zgeev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
     assert verifier_mod._zgeev_lwork(zgeev, h) == expected
@@ -112,8 +114,9 @@ def test_zhseqr_failure_raises_not_converged_error(monkeypatch):
     def failing(*args):
         args[-1]._obj.value = 1  # info
 
-    _, zgeev = verifier_mod._zhseqr()
-    monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: (failing, zgeev))
+    lapack = verifier_mod._lapack
+    monkeypatch.setattr(verifier_mod, "_lapack",
+                        lambda name, n_args: failing if name == "zhseqr" else lapack(name, n_args))
     ham = _hamiltonian("morse_pt2", 101)
     with pytest.raises(NotConvergedError, match="did not converge") as raised:
         eigen_spectrum(ham, 5, vectors=False)
@@ -163,15 +166,17 @@ def test_hamiltonian_zgeev_would_preprocess_falls_back_to_eigvals(model, hbar, m
 def test_missing_zhseqr_falls_back_to_eigvals(monkeypatch):
     ham = _hamiltonian("poschl_teller", 101)
     expected = eigvals(ham.dense())
-    monkeypatch.setattr(verifier_mod, "_zhseqr", lambda: None)
+    lapack = verifier_mod._lapack
+    monkeypatch.setattr(verifier_mod, "_lapack",
+                        lambda name, n_args: None if name == "zhseqr" else lapack(name, n_args))
     calls = _recording_eigvals(monkeypatch)
     assert np.array_equal(verifier_mod._hessenberg_eigvals(ham), expected)
     assert calls == [(99, 99)]
 
 
-def test_scipy_openblas_not_found_falls_back_to_eigvals(monkeypatch):
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda: ())
-    assert verifier_mod._zhseqr() is None
+def test_scipy_openblas_not_found_falls_back_to_eigvals(monkeypatch, replace_openblas):
+    replace_openblas(lambda: None)
+    assert [verifier_mod._lapack(*routine) for routine in ROUTINES] == [None] * len(ROUTINES)
     ham = _hamiltonian("morse_pt1", 201)
     expected = eigvals(ham.dense())
     calls = _recording_eigvals(monkeypatch)
@@ -179,40 +184,45 @@ def test_scipy_openblas_not_found_falls_back_to_eigvals(monkeypatch):
     assert calls == [(199, 199)]
 
 
-# the files of scipy's bundled OpenBLAS, looked up before any test fakes the lookup
+# the file of scipy's bundled OpenBLAS, looked up before any test fakes the lookup
 REAL_OPENBLAS = verifier_mod._bundled_openblas()
+
+
+def _clear_lookup_caches():
+    verifier_mod._bundled_openblas.cache_clear()
+    verifier_mod._lapack.cache_clear()
 
 
 @pytest.fixture
 def fake_site(tmp_path, monkeypatch):
     """A directory that the lookup takes for the one holding scipy's package,
-    with _bundled_openblas's cache emptied before the test and again after it."""
+    with the caches of _bundled_openblas and _lapack emptied before the test
+    and again after it."""
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: types.SimpleNamespace(
         submodule_search_locations=[str(tmp_path / name)]))
-    verifier_mod._bundled_openblas.cache_clear()
+    _clear_lookup_caches()
     yield tmp_path
-    verifier_mod._bundled_openblas.cache_clear()
+    _clear_lookup_caches()
 
 
 def test_bundled_openblas_without_libs_directory(fake_site):
-    assert verifier_mod._bundled_openblas() == ()
+    assert verifier_mod._bundled_openblas() is None
 
 
 def test_bundled_openblas_skips_a_file_that_is_not_a_library(fake_site):
-    real = [lib._name for lib in REAL_OPENBLAS]
-    if not real:
+    if REAL_OPENBLAS is None:
         pytest.skip("scipy's wheel bundles no OpenBLAS here")
     libs = fake_site / "scipy.libs"
     libs.mkdir()
     (libs / "libscipy_openblas-x.so").write_bytes(b"not a shared library")
-    os.symlink(real[0], libs / "libscipy_openblas-y.so")
+    os.symlink(REAL_OPENBLAS._name, libs / "libscipy_openblas-y.so")
     found = verifier_mod._bundled_openblas()
-    assert [os.path.basename(lib._name) for lib in found] == ["libscipy_openblas-y.so"]
+    assert os.path.basename(found._name) == "libscipy_openblas-y.so"
 
 
 def test_bundled_openblas_of_a_missing_package(fake_site, monkeypatch):
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-    assert verifier_mod._bundled_openblas() == ()
+    assert verifier_mod._bundled_openblas() is None
 
 
 @pytest.mark.parametrize("user_timeout", [None, "26"], ids=["unset", "user-set"])
@@ -231,7 +241,7 @@ def test_bundled_openblas_restores_the_environment_after_a_failed_load(user_time
         raise OSError(f"{path}: invalid ELF header")
 
     monkeypatch.setattr(verifier_mod.ctypes, "CDLL", failing_load)
-    assert verifier_mod._bundled_openblas() == ()
+    assert verifier_mod._bundled_openblas() is None
     assert seen == [user_timeout or str(verifier_mod.OPENBLAS_THREAD_TIMEOUT)]
     assert os.environ.get("OPENBLAS_THREAD_TIMEOUT") == user_timeout
 
@@ -260,12 +270,40 @@ def test_concurrent_first_lookups_each_load_with_the_short_idle_spin(fake_site, 
     first = threading.Thread(target=lookup, name="first")
     first.start()
     assert first_loading.wait(10)
-    assert lookup() == ()
+    assert lookup() is None
     first.join(10)
     assert not first.is_alive()
     spin = str(verifier_mod.OPENBLAS_THREAD_TIMEOUT)
     assert seen == {"first": spin, threading.current_thread().name: spin}
     assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+
+
+def test_repeated_solves_load_once_and_share_each_typed_routine(monkeypatch):
+    if REAL_OPENBLAS is None:
+        pytest.skip("scipy's wheel bundles no OpenBLAS here")
+    loads = []
+    load = verifier_mod.ctypes.CDLL
+
+    def counting_load(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(verifier_mod.ctypes, "CDLL", counting_load)
+    ham = _hamiltonian("morse_pt2", 101)
+    d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
+    _clear_lookup_caches()
+    try:
+        looked_up = []
+        for _ in range(2):
+            verifier_mod._hessenberg_eigvals(ham)
+            verifier_mod._eigh_tridiagonal(d, e, "i", (0, 4))
+            looked_up.append([verifier_mod._lapack(*routine) for routine in ROUTINES])
+    finally:
+        _clear_lookup_caches()
+    assert loads == [REAL_OPENBLAS._name]
+    first, second = looked_up
+    assert all(a is b for a, b in zip(first, second))
+    assert [len(routine.argtypes) for routine in first] == [n for _, n in ROUTINES]
 
 
 REAL_WELL = ("[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n\n"
@@ -276,18 +314,18 @@ COMPLEX_WELL = ("[model]\nfamily = poschl_teller\nv0 = 8+1i\nq = 1+0.3i\n\n"
 
 
 @pytest.mark.parametrize("text", [REAL_WELL, COMPLEX_WELL], ids=["real", "complex"])
-def test_verify_takes_its_routines_from_scipy_libs(text, tmp_path, monkeypatch, capsys):
+def test_verify_takes_its_routines_from_scipy_libs(text, tmp_path, capsys, replace_openblas):
     lookup = verifier_mod._bundled_openblas
-    if verifier_mod._stebz() is None or verifier_mod._zhseqr() is None:
+    if None in [verifier_mod._lapack(*routine) for routine in ROUTINES]:
         pytest.skip("scipy's bundled OpenBLAS does not export dstebz, zhseqr and zgeev")
     seen = []
 
     def recording():
-        libs = lookup()
-        seen.extend(os.path.basename(os.path.dirname(lib._name)) for lib in libs)
-        return libs
+        lib = lookup()
+        seen.append(os.path.basename(os.path.dirname(lib._name)))
+        return lib
 
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", recording)
+    replace_openblas(recording)
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
     assert susyhier.cli.main(["verify", "--config", str(path)]) == 0
@@ -311,7 +349,7 @@ if sys.argv[1]:
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
         fh.write("[model]\\nfamily = morse_pt1\\nv1 = 16\\nv2 = 12\\n\\n[grid]\\nn_points = 201\\n")
     assert main(["verify", "--config", sys.argv[1], "--out", sys.argv[1] + ".csv"]) == 0
-lib = verifier._bundled_openblas()[0]
+lib = verifier._bundled_openblas()
 print(lib.openblas_thread_timeout(), lib.scipy_openblas_get_num_threads(),
       os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 """
@@ -321,8 +359,7 @@ def _spin_probe(config, before="", user_timeout=None):
     """(idle-spin exponent, thread count, OPENBLAS_THREAD_TIMEOUT or None) that
     scipy's OpenBLAS reads in a fresh process after `before` and, given a
     config path, a verify of a complex well."""
-    real = verifier_mod._bundled_openblas()
-    if not real or not hasattr(real[0], "openblas_thread_timeout"):
+    if not hasattr(REAL_OPENBLAS, "openblas_thread_timeout"):
         pytest.skip("scipy's wheel bundles no OpenBLAS here")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
     if user_timeout is not None:

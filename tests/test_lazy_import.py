@@ -132,7 +132,7 @@ def _loaded_after(tmp_path, *runs):
 def scipy_libs_dstebz():
     """Skip where scipy's bundled OpenBLAS exports no dstebz, so real wells fall back to scipy."""
     proc = _python("import sys; from susyhier import verifier; "
-                   "sys.exit(verifier._stebz() is None)")
+                   "sys.exit(verifier._lapack('dstebz', 18) is None)")
     if proc.returncode != 0:
         pytest.skip("scipy's bundled OpenBLAS exports no dstebz")
 
@@ -166,7 +166,8 @@ with open("/proc/self/maps", encoding="utf-8") as fh:
              if p.startswith(scipy_libs) and "openblas" in p}}
 assert paths, "the scan loaded no OpenBLAS from scipy.libs"
 exporting = [p for p in paths if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")]
-assert len(verifier._openblas_setters()) == len(exporting), exporting
+lib = verifier._bundled_openblas()
+assert len(exporting) == hasattr(lib, "openblas_set_num_threads_local"), exporting
 """
 
 
@@ -290,7 +291,7 @@ assert main(["spectrum", "--config", {str(path)!r}, "--out", {str(path)!r} + ".s
 assert "numpy" not in sys.modules
 assert main(["verify", "--config", {str(path)!r}, "--out", {str(path)!r} + ".v"]) == 0
 from susyhier import verifier
-assert verifier._stebz() is not None
+assert verifier._lapack("dstebz", 18) is not None
 assert "scipy" not in sys.modules
 """)
     assert proc.returncode == 0, proc.stderr

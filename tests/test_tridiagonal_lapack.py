@@ -1,8 +1,8 @@
 """The real-well eigenvalue solve: dstebz from scipy's bundled OpenBLAS, without scipy.
 
 `_eigh_tridiagonal` must give `scipy.linalg.eigh_tridiagonal`'s eigenvalues
-bit for bit, through every bundled library that exports dstebz and through
-the fallback where none does.
+bit for bit, through the bundled library where it exports dstebz and through
+the fallback where it does not.
 """
 import os
 
@@ -12,7 +12,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from susyhier import Grid, MorseGeneral, NotConvergedError, PoschlTeller, build_hamiltonian
+from susyhier import (Grid, MorseGeneral, NotConvergedError, PoschlTeller, build_hamiltonian,
+                      eigen_spectrum)
 from susyhier import verifier as verifier_mod
 
 
@@ -78,15 +79,16 @@ def test_random_tridiagonals_bitwise(case):
 
 
 def _exporting_libraries():
-    return [pytest.param(lib, id=os.path.basename(lib._name))
-            for lib in verifier_mod._bundled_openblas()
-            if hasattr(lib, verifier_mod._LAPACK_SYMBOL.format("dstebz"))]
+    lib = verifier_mod._bundled_openblas()
+    if not hasattr(lib, verifier_mod._LAPACK_SYMBOL.format("dstebz")):
+        return []
+    return [pytest.param(lib, id=os.path.basename(lib._name))]
 
 
 @pytest.mark.parametrize("lib", _exporting_libraries())
-def test_each_exporting_library_bitwise(lib, monkeypatch):
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda: (lib,))
-    assert verifier_mod._stebz() is not None
+def test_each_exporting_library_bitwise(lib, replace_openblas):
+    replace_openblas(lambda: lib)
+    assert verifier_mod._lapack("dstebz", 18) is not None
     d, e, k, window = SOLVER_MATRICES[0]
     _assert_bitwise(d, e, "i", (0, k - 1))
     _assert_bitwise(d, e, "v", window)
@@ -103,9 +105,9 @@ def _recording_eigh_tridiagonal(monkeypatch):
     return calls
 
 
-def test_no_exporting_library_falls_back_bitwise(monkeypatch):
-    monkeypatch.setattr(verifier_mod, "_bundled_openblas", lambda: ())
-    assert verifier_mod._stebz() is None
+def test_no_exporting_library_falls_back_bitwise(monkeypatch, replace_openblas):
+    replace_openblas(lambda: None)
+    assert verifier_mod._lapack("dstebz", 18) is None
     calls = _recording_eigh_tridiagonal(monkeypatch)
     d, e, k, window = SOLVER_MATRICES[-1]
     _assert_bitwise(d, e, "i", (0, k - 1))
@@ -114,7 +116,7 @@ def test_no_exporting_library_falls_back_bitwise(monkeypatch):
 
 
 def test_lapack_path_does_not_call_scipy(monkeypatch):
-    if verifier_mod._stebz() is None:
+    if verifier_mod._lapack("dstebz", 18) is None:
         pytest.skip("scipy's bundled OpenBLAS does not export dstebz")
     calls = _recording_eigh_tridiagonal(monkeypatch)
     d, e, k, window = SOLVER_MATRICES[-1]
@@ -140,12 +142,14 @@ def test_stebz_failure_raises_not_converged_error(monkeypatch):
     def failing(*args):
         args[-1]._obj.value = 4  # info
 
-    monkeypatch.setattr(verifier_mod, "_stebz", lambda: (failing,))
+    lapack = verifier_mod._lapack
+    monkeypatch.setattr(verifier_mod, "_lapack",
+                        lambda name, n_args: failing if name == "dstebz" else lapack(name, n_args))
     calls = _recording_eigh_tridiagonal(monkeypatch)
-    d, e, k, _ = SOLVER_MATRICES[-1]
+    ham = build_hamiltonian(MorseGeneral(25.0, 50.0), Grid(-3.0, 30.0, 401))
     with pytest.raises(NotConvergedError, match=r"^stebz did not converge \(LAPACK info = 4\)$") \
             as raised:
-        verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1))
+        eigen_spectrum(ham, 9, vectors=False)
     assert isinstance(raised.value.__cause__, LinAlgError)
     assert calls == []
 

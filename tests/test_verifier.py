@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import types
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -659,9 +660,14 @@ def scan_lattice_records():
     return reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
 
 
-def test_scan_records_do_not_depend_on_the_thread_cap(monkeypatch):
+@pytest.mark.parametrize("library", ["without-setter", "none"])
+def test_scan_records_do_not_depend_on_the_thread_cap(library, replace_openblas):
     capped = scan_lattice_records()
-    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: ())
+    # scipy's OpenBLAS without its thread-count setter, or no such file at all
+    lib = verifier_mod._bundled_openblas()
+    stand_in = (types.SimpleNamespace(scipy_dstebz_=getattr(lib, "scipy_dstebz_", None))
+                if library == "without-setter" else None)
+    replace_openblas(lambda: stand_in)
     uncapped = scan_lattice_records()
     # repr of a float round-trips, so equal reprs mean bitwise-equal max_im_e
     assert repr(capped) == repr(uncapped)
@@ -677,12 +683,17 @@ def fake_setter(calls, count=2):
     return setter
 
 
-def test_thread_cap_restored_when_arpack_raises(monkeypatch):
+def with_setter(setter):
+    """A stand-in for scipy's bundled OpenBLAS that exports only the setter."""
+    return lambda: types.SimpleNamespace(openblas_set_num_threads_local=setter)
+
+
+def test_thread_cap_restored_when_arpack_raises(monkeypatch, replace_openblas):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
     calls = []
-    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
+    replace_openblas(with_setter(fake_setter(calls)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
     spec = verifier_mod._states_below(build_hamiltonian(PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j),
                                                         SCAN_GRID), SCAN_ACCURACY)
@@ -690,12 +701,12 @@ def test_thread_cap_restored_when_arpack_raises(monkeypatch):
     assert calls == [1, 2]
 
 
-def test_thread_cap_holders_on_two_threads_take_turns(monkeypatch):
+def test_thread_cap_holders_on_two_threads_take_turns(replace_openblas):
     # the second holder's block starts only after the first one restored the count
     calls, starts, errors = [], [], []
     first_in, release, second_in, go = (threading.Event() for _ in range(4))
     go.set()
-    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (fake_setter(calls),))
+    replace_openblas(with_setter(fake_setter(calls)))
 
     def hold(entered, leave):
         try:
@@ -722,12 +733,12 @@ def test_thread_cap_holders_on_two_threads_take_turns(monkeypatch):
     assert calls == [1, 2, 1, 2]
 
 
-def test_thread_cap_admits_one_holder_at_a_time_under_contention(monkeypatch):
+def test_thread_cap_admits_one_holder_at_a_time_under_contention(replace_openblas):
     # more threads than cores and a short switch interval, so that holders
     # whose blocks overlapped would show in the count of holders inside
     calls, inside, errors = [], [], []
     setter = fake_setter(calls)
-    monkeypatch.setattr(verifier_mod, "_openblas_setters", lambda: (setter,))
+    replace_openblas(with_setter(setter))
 
     def hold():
         try:
@@ -767,7 +778,8 @@ def test_verify_never_caps_blas_threads(monkeypatch):
 
 def test_scan_leaves_openblas_thread_count_unchanged():
     get_threads = scipy_openblas_thread_count()
-    if get_threads is None or not verifier_mod._openblas_setters():
+    if get_threads is None or not hasattr(verifier_mod._bundled_openblas(),
+                                          "openblas_set_num_threads_local"):
         pytest.skip("scipy's OpenBLAS with a thread-count setter is not loaded")
     get_numpy_threads = numpy_openblas_thread_count()
     numpy_before = None if get_numpy_threads is None else get_numpy_threads()
