@@ -3,9 +3,10 @@
     susyhier <spectrum|verify|scan|wavefunction> --config <path>
              [--out <path>] [--mode paper-literal|self-consistent]
 
-Exit codes: 0 success; 1 usage error, invalid config, model precondition,
-or parameters and units whose arithmetic leaves floating-point range (a
-closed-form level or a ground-state sample that is not finite);
+Exit codes: 0 success; 1 usage error, invalid config (a grid spacing that
+is not finite included), model precondition, parameters and units whose
+arithmetic leaves floating-point range (a closed-form level or a
+ground-state sample that is not finite), or a grid too large for memory;
 2 numerical non-convergence (a Hermitian family's Richardson certificate,
 or an eigensolver); 3 verification mismatch (Hermitian families only).
 A failed run prints one `error:` line to stderr, except a usage error
@@ -197,6 +198,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INVALID
     except ArithmeticError as exc:  # Python float arithmetic: overflow, or division by 0
         print(f"error: out of floating-point range ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_INVALID
     if args.out is None:
         try:

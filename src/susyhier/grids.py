@@ -28,6 +28,8 @@ class Grid:
             raise InvalidModelError("x_max must exceed x_min")
         if self.n_points < MIN_POINTS:
             raise GridTooCoarseError(f"need at least {MIN_POINTS} points, got {self.n_points}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise InvalidModelError(f"grid spacing must be finite and positive, got {self.h}")
 
     @property
     def h(self) -> float:

@@ -16,16 +16,18 @@ to scipy; eigenvectors always come from scipy.  Where the lookup is the
 first to load the file (a `verify` before any `import scipy`), the file's
 idle worker threads spin 2**OPENBLAS_THREAD_TIMEOUT cycles before they
 sleep, not OpenBLAS's 2**28, on the same thread count; a value of that
-variable the user set wins.  The reality scan needs only the
-states below the continuum and solves for those alone (`_states_below`) with
-scipy's dense and Arnoldi solvers.  Its Arnoldi solve runs with scipy's
-OpenBLAS on one thread and numpy's at its own count, and Arnoldi solves on
-other threads wait their turn (`_one_blas_thread`).  It stops at the
-accuracy the scan's verdict needs: ARPACK's tolerance is tol_imag / 100
-over the radius of the certification circle, which bounds the error of
-every eigenvalue inside the circle by tol_imag / 100 times its condition
-number, so the hundredfold margin covers condition numbers up to 100; for
-k pairs its Krylov basis holds 2k + 1 vectors.
+variable the user set wins.  Every single-grid solve goes through
+`eigen_spectrum`.  The reality scan needs only the states below the
+continuum: `_states_below` finds a superset of them with scipy's Arnoldi
+solver (or `eigen_spectrum`), and `bound_states` alone applies the continuum
+rule.  The Arnoldi solve runs with scipy's OpenBLAS on one thread and
+numpy's at its own count, and Arnoldi solves on other threads wait their
+turn (`_one_blas_thread`).  It stops at the accuracy the scan's verdict
+needs: ARPACK's tolerance is tol_imag / 100 over the radius of the
+certification circle, which bounds the error of every eigenvalue inside the
+circle by tol_imag / 100 times its condition number, so the hundredfold
+margin covers condition numbers up to 100; for k pairs its Krylov basis
+holds 2k + 1 vectors.
 """
 from __future__ import annotations
 
@@ -58,9 +60,9 @@ EDGE_DECAY_RTOL = 1e-6
 # a bound state lies below the continuum edge, the x -> +infinity limit of every well here
 CONTINUUM_EDGE = 0.0
 
-# shift-invert Arnoldi asks for at most this many eigenpairs at first and
-# doubles the count until the numerical-range certificate holds; a grid with
-# N - 1 <= ARNOLDI_START_K interior points goes to the dense solver instead
+# shift-invert Arnoldi asks for at most this many eigenpairs at first and doubles
+# the count until the numerical-range certificate holds; a deeper first guess can
+# cost more (PoschlTeller(300+2i, 1+0.3i) certifies at k = 16, not at m + 4 = 21)
 ARNOLDI_START_K = 16
 
 # the first Arnoldi call asks for this many eigenpairs beyond the number of
@@ -128,13 +130,13 @@ def build_hamiltonian(model: PotentialModel, grid: Grid,
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Eigenvalues sorted by (Re, Im); eigenvector columns align with them."""
+    """Eigenvalues sorted by (Re, Im), except `_states_below`'s; eigenvectors align."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
     grid: Grid
-    converged: bool
-    richardson_delta: float
+    converged: bool = False
+    richardson_delta: float = float("nan")
 
 
 # scipy's wheels export LAPACK routine <name> as scipy_<name>_, with 32-bit integers
@@ -246,29 +248,6 @@ def _converges(solve):
     return checked
 
 
-@_converges
-def _sorted_eig(ham: DiscretizedHamiltonian, k: int, vectors: bool = True):
-    """k lowest eigenvalues by (Re, Im) and, with vectors, their eigenvector
-    columns (else None).  Without vectors a complex H goes straight to zhseqr
-    (`_hessenberg_eigvals`): zgeev's balancing and Hessenberg reduction leave
-    a tridiagonal H unchanged, so the values are eigvals' bit for bit."""
-    k = min(k, ham.dimension)
-    if ham.is_real:
-        d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
-        if not vectors:
-            return _eigh_tridiagonal(d, e, "i", (0, k - 1)).astype(complex), None
-        from scipy.linalg import eigh_tridiagonal
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-        return vals.astype(complex), vecs.astype(complex)
-    if not vectors:
-        vals = _hessenberg_eigvals(ham)
-        return vals[np.lexsort((vals.imag, vals.real))[:k]], None
-    from scipy.linalg import eig
-    vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
-    order = np.lexsort((vals.imag, vals.real))[:k]
-    return vals[order], vecs[:, order]
-
-
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range) -> np.ndarray:
     """The ascending eigenvalues of the real tridiagonal (d, e), bit for bit as
     `scipy.linalg.eigh_tridiagonal(d, e, True, select, select_range)`.
@@ -338,13 +317,11 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     residual is below tol |mu|, and E = sigma + 1/mu then errs by about
     tol |E - sigma|, so tol = accuracy / radius bounds that error by accuracy
     inside the circle.  The farthest value certifies the circle only if it
-    lies beyond radius by more than its own error bound.  None when
-    N - 1 <= ARNOLDI_START_K, when k would reach N - 1, when H - sigma is
-    exactly singular, or when ARPACK does not converge.
+    lies beyond radius by more than its own error bound.  None when k would
+    reach N - 1 (ARPACK's limit; a grid too small for the first k included),
+    when H - sigma is exactly singular, or when ARPACK does not converge.
     """
     n = ham.dimension
-    if n - 1 <= ARNOLDI_START_K:
-        return None
     from scipy.linalg.lapack import zgttrf, zgttrs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
     off = np.full(n - 1, ham.off_diagonal, dtype=complex)
@@ -374,8 +351,8 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
 
 @_converges
 def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectrum:
-    """Every eigenpair with Re E < CONTINUUM_EDGE, sorted by (Re, Im); a
-    complex well's Arnoldi eigenvalues to within accuracy.
+    """A superset of the eigenpairs with Re E < CONTINUUM_EDGE, in no set order
+    (`bound_states` drops the rest); complex wells' eigenvalues within accuracy.
 
     With V = diagonal + 2 off_diagonal the potential on the interior points,
     the numerical range of H, and so every eigenvalue, lies in
@@ -394,8 +371,7 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
     """
     n = ham.dimension
     v = ham.diagonal + 2.0 * ham.off_diagonal
-    vals = np.zeros(0, dtype=complex)
-    vecs = np.zeros((n, 0), dtype=complex)
+    vals, vecs = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
     if v.real.min() < CONTINUUM_EDGE:
         d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
         window = (v.real.min() - 1.0, CONTINUUM_EDGE)
@@ -409,27 +385,42 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
             found = _certified_nearest(ham, sigma,
                                        abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma),
                                        min(ARNOLDI_START_K, m + ARNOLDI_MARGIN), accuracy)
-            vals, vecs = found if found is not None else _sorted_eig(ham, n)
-        below = vals.real < CONTINUUM_EDGE
-        vals, vecs = vals[below], vecs[:, below]
-        order = np.lexsort((vals.imag, vals.real))
-        vals, vecs = vals[order].astype(complex), vecs[:, order].astype(complex)
-    return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid,
-                           converged=False, richardson_delta=float("nan"))
+            if found is None:
+                return eigen_spectrum(ham, n)
+            vals, vecs = found
+    return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid)
 
 
+@_converges
 def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
                    vectors: bool = True) -> NumericSpectrum:
-    """k lowest-by-real-part eigenpairs of a single discretization.
+    """The k lowest eigenpairs by (Re, Im) of a single discretization.
 
     With vectors=False only the eigenvalues are computed and `eigenvectors`
-    is None.
+    is None; a complex H then goes straight to zhseqr (`_hessenberg_eigvals`):
+    zgeev's balancing and Hessenberg reduction leave a tridiagonal H
+    unchanged, so the values are eigvals' bit for bit.
     """
     if k < 1:
         raise InvalidModelError("k must be positive")
-    vals, vecs = _sorted_eig(ham, k, vectors)
-    return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid,
-                           converged=False, richardson_delta=float("nan"))
+    k = min(k, ham.dimension)
+    if ham.is_real:
+        d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
+        if vectors:
+            from scipy.linalg import eigh_tridiagonal
+            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        else:
+            vals, vecs = _eigh_tridiagonal(d, e, "i", (0, k - 1)), None
+    elif vectors:
+        from scipy.linalg import eig
+        vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
+    else:
+        vals, vecs = _hessenberg_eigvals(ham), None
+    # the tridiagonal solvers return their k values ascending
+    order = slice(k) if ham.is_real else np.lexsort((vals.imag, vals.real))[:k]
+    vecs = None if vecs is None else vecs[:, order].astype(complex, copy=False)
+    return NumericSpectrum(eigenvalues=vals[order].astype(complex, copy=False),
+                           eigenvectors=vecs, grid=ham.grid)
 
 
 def _conjugates_first(vals: np.ndarray) -> np.ndarray:

@@ -339,8 +339,9 @@ def test_wavefunction_follows_mode(tmp_path):
     cfg = load_config(str(DATA / "morse_general_wavefunction.ini"))
     states = bound_states(_states_below(build_hamiltonian(cfg.model, cfg.grid, cfg.units),
                                         cfg.tol_imag / 100))
-    assert states.eigenvalues[0].real == pytest.approx(-20.25, abs=1e-2)
-    ground = states.eigenvectors[:, 0]
+    lowest = int(np.argmin(states.eigenvalues.real))  # the solve returns no set order
+    assert states.eigenvalues[lowest].real == pytest.approx(-20.25, abs=1e-2)
+    ground = states.eigenvectors[:, lowest]
     overlaps = {}
     for mode in Mode:
         out = tmp_path / f"{mode.value}.csv"
@@ -497,6 +498,11 @@ _OUT_OF_RANGE = {
           "scan1_stop = 2e190\nscan1_count = 2\nscan2_param = q\nscan2_component = im\n"
           "scan2_start = 0\nscan2_stop = 0.1\nscan2_count = 2\n", ["scan"], 2,
           "error: stebz (eigh_tridiagonal) did not converge (LAPACK info=1)\n"),
+    # x_max - x_min overflows, so the grid spacing is inf
+    "L": ("[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n"
+          "\n[grid]\nx_min = -1e308\nx_max = 1e308\nn_points = 101\n",
+          ["spectrum", "verify", "wavefunction", "scan"], 1,
+          "error: grid spacing must be finite and positive, got inf\n"),
 }
 
 
@@ -525,6 +531,32 @@ def test_failed_bisection_leaves_scipy_unloaded(tmp_path):
         "assert 'scipy' not in sys.modules, 'a failed bisection loaded scipy'\n"
         "sys.exit(code)\n")], env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
+
+
+@pytest.mark.parametrize("command, grid", [
+    # the coarse grid's dense H alone is 596 GiB
+    ("verify", "[model]\nfamily = morse_pt1\nv1 = 16\nv2 = 12\n\n[grid]\nn_points = 200001\n"),
+    # the grid's points alone are 7.45 GiB
+    ("wavefunction", "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n"
+                     "\n[grid]\nn_points = 1000000000\n"),
+], ids=["verify", "wavefunction"])
+def test_out_of_memory_ends_in_one_error_line(tmp_path, command, grid):
+    # a child process whose address space is capped at 2 GiB before susyhier
+    # loads, so numpy refuses the allocation whatever the host's overcommit
+    # policy, and nothing large is ever allocated
+    cfg = write_cfg(tmp_path, grid)
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from susyhier.cli import main\n"
+        f"sys.exit(main([{command!r}, '--config', {cfg!r}]))\n")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: out of memory (Unable to allocate ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 _MAGNITUDES = st.sampled_from([0.0, 1e-300, 1e-150, 0.5, 1.0, 3.0, 25.0, 1e150, 1e300])

@@ -31,6 +31,15 @@ def test_grid_validation():
         Grid(2.0, -2.0, 100)
 
 
+@pytest.mark.parametrize("x_min, x_max, n_points", [
+    (-1e308, 1e308, 101),       # x_max - x_min overflows: h = inf
+    (0.0, 5e-324, 101),         # the one-subnormal window divided by 100 underflows: h = 0
+], ids=["inf", "zero"])
+def test_grid_refuses_spacing_that_is_not_finite_and_positive(x_min, x_max, n_points):
+    with pytest.raises(InvalidModelError, match="grid spacing"):
+        Grid(x_min, x_max, n_points)
+
+
 def test_symmetric_grid_coerces_odd_count():
     g = symmetric_grid(5.0, 100)
     assert g.n_points % 2 == 1

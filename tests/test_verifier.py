@@ -357,17 +357,24 @@ def test_reality_scan_lattice_order_and_pole_status():
 # targeted bound-state solve of the reality scan
 # ---------------------------------------------------------------------------
 
+def targeted_bound_levels(ham):
+    """The bound levels of the scan's targeted solve, sorted by (Re, Im) as
+    the dense solve sorts them; the solve itself returns them in no set order."""
+    vals = bound_states(verifier_mod._states_below(ham, SCAN_ACCURACY)).eigenvalues
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
 def assert_targeted_matches_dense(model, grid):
     ham = build_hamiltonian(model, grid)
-    targeted = bound_states(verifier_mod._states_below(ham, SCAN_ACCURACY))
-    dense = bound_states(eigen_spectrum(ham, ham.dimension))
-    assert len(targeted.eigenvalues) == len(dense.eigenvalues)
-    if len(dense.eigenvalues) == 0:
+    targeted = targeted_bound_levels(ham)
+    dense = bound_states(eigen_spectrum(ham, ham.dimension)).eigenvalues
+    assert len(targeted) == len(dense)
+    if len(dense) == 0:
         return
-    scale = float(np.abs(dense.eigenvalues).max())
-    assert np.allclose(targeted.eigenvalues, dense.eigenvalues, rtol=0.0, atol=1e-10 * scale)
-    max_im_t = float(np.abs(targeted.eigenvalues.imag).max())
-    max_im_d = float(np.abs(dense.eigenvalues.imag).max())
+    scale = float(np.abs(dense).max())
+    assert np.allclose(targeted, dense, rtol=0.0, atol=1e-10 * scale)
+    max_im_t = float(np.abs(targeted.imag).max())
+    max_im_d = float(np.abs(dense.imag).max())
     assert (max_im_t < 1e-6) == (max_im_d < 1e-6)
     assert max_im_t == pytest.approx(max_im_d, rel=1e-10, abs=1e-12 * scale)
 
@@ -401,14 +408,11 @@ def test_targeted_solve_grows_k_until_certified(monkeypatch):
     assert ks == [16, 32]
 
 
-def test_targeted_solve_small_grid_takes_dense_path(monkeypatch):
-    # N = 16 interior points: the first k = 16 already reaches N - 1
-    def no_arnoldi(*args, **kwargs):
-        raise AssertionError("shift-invert Arnoldi ran on a grid it cannot serve")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_arnoldi)
+@pytest.mark.parametrize("v0", [6.0 + 1.0j, 200.0 + 10.0j])
+def test_targeted_solve_matches_dense_at_sixteen_interior_points(v0):
+    # the smallest grid a config admits; the deeper well keeps four bound states
     for q in (1.0 + 0.4j, 1.0 - 0.4j):
-        assert_targeted_matches_dense(PoschlTeller(6.0 + 1.0j, q), Grid(-10.0, 10.0, 18))
+        assert_targeted_matches_dense(PoschlTeller(v0, q), Grid(-10.0, 10.0, 18))
 
 
 def test_targeted_solve_falls_back_when_arpack_fails(monkeypatch):
@@ -449,7 +453,7 @@ def test_doubling_reaches_k_of_n_minus_two(monkeypatch, certified_from, dense_fa
     # a certificate that fails there too gives up, since k would reach N - 1
     ks, dense_calls = [], []
     arnoldi = scipy.sparse.linalg.eigs
-    sorted_eig = verifier_mod._sorted_eig
+    dense_solve = verifier_mod.eigen_spectrum
 
     def uncertified_below(op, k, **kwargs):
         ks.append(k)
@@ -460,17 +464,17 @@ def test_doubling_reaches_k_of_n_minus_two(monkeypatch, certified_from, dense_fa
 
     def counting_dense(ham, k, vectors=True):
         dense_calls.append(k)
-        return sorted_eig(ham, k, vectors)
+        return dense_solve(ham, k, vectors)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", uncertified_below)
-    monkeypatch.setattr(verifier_mod, "_sorted_eig", counting_dense)
+    monkeypatch.setattr(verifier_mod, "eigen_spectrum", counting_dense)
     monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", verifier_mod.ARNOLDI_START_K)
     model, grid = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), Grid(-10.0, 10.0, 36)
     assert build_hamiltonian(model, grid).dimension == 34
     assert_targeted_matches_dense(model, grid)
     assert ks == [16, 32]
-    # the dense reference of assert_targeted_matches_dense is one call more
-    assert dense_calls == [34] * (dense_fallbacks + 1)
+    # the helper's dense reference calls its own import, which is not counted
+    assert dense_calls == [34] * dense_fallbacks
 
 
 @settings(max_examples=20, deadline=None)
@@ -479,7 +483,7 @@ def test_targeted_bound_states_within_scan_accuracy_on_scan_lattices(v0, q_im):
     # the ranges that the scan lattices sweep (tests/data/scan_lattice.ini and
     # the benchmark's seeded lattices): Re V0 in [6, 12.5], Im q in [0, 1.08]
     ham = build_hamiltonian(PoschlTeller(v0, complex(1.0, q_im)), SCAN_GRID)
-    targeted = bound_states(verifier_mod._states_below(ham, SCAN_ACCURACY)).eigenvalues
+    targeted = targeted_bound_levels(ham)
     dense = bound_states(eigen_spectrum(ham, ham.dimension)).eigenvalues
     assert len(targeted) == len(dense) > 0
     tol_imag = SCAN_LATTICE.tol_imag
@@ -565,17 +569,16 @@ def test_targeted_solve_without_margin_grows_k_and_stays_exact(monkeypatch):
     grid = SCAN_LATTICE.grid
     models = [m for m in scan_lattice_models()
               if not build_hamiltonian(m, grid).is_real]
-    sized = [verifier_mod._states_below(build_hamiltonian(m, grid), SCAN_ACCURACY)
-             for m in models]
+    sized = [targeted_bound_levels(build_hamiltonian(m, grid)) for m in models]
     ks = recording_eigs(monkeypatch)
     monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", 0)
     grown = []
     for model, reference in zip(models, sized):
         ks.clear()
-        spec = verifier_mod._states_below(build_hamiltonian(model, grid), SCAN_ACCURACY)
-        assert len(spec.eigenvalues) == len(reference.eigenvalues)
-        scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
-        assert np.allclose(spec.eigenvalues, reference.eigenvalues, rtol=0.0, atol=1e-10 * scale)
+        levels = targeted_bound_levels(build_hamiltonian(model, grid))
+        assert len(levels) == len(reference)
+        scale = max(1.0, float(np.abs(reference).max()))
+        assert np.allclose(levels, reference, rtol=0.0, atol=1e-10 * scale)
         if len(ks) > 1:
             assert ks[1] == 2 * ks[0]
             grown.append(model)
@@ -602,15 +605,15 @@ def test_targeted_solve_singular_factor_takes_dense_path(monkeypatch):
         raise AssertionError("shift-invert Arnoldi ran on a singular factor")
 
     dense_calls = []
-    sorted_eig = verifier_mod._sorted_eig
+    dense_solve = verifier_mod.eigen_spectrum
 
     def counting_dense(ham, k, vectors=True):
         dense_calls.append(k)
-        return sorted_eig(ham, k, vectors)
+        return dense_solve(ham, k, vectors)
 
     monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", singular)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_arnoldi)
-    monkeypatch.setattr(verifier_mod, "_sorted_eig", counting_dense)
+    monkeypatch.setattr(verifier_mod, "eigen_spectrum", counting_dense)
     model = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j)
     assert_targeted_matches_dense(model, SCAN_GRID)
     assert dense_calls[0] == build_hamiltonian(model, SCAN_GRID).dimension
