@@ -147,9 +147,12 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[str, list[str], int]:
     if not sample.normalized:
         lines.append("# unnormalized")
     lines.append("x,psi_re,psi_im")
-    x = sample.grid.points()
-    for xi, psi in zip(x, sample.values):
-        lines.append(",".join([_fmt(xi), _fmt(psi.real), _fmt(psi.imag)]))
+    import numpy as np
+    # Python floats, as _fmt writes them, one list per column rather than a
+    # numpy scalar per cell; adding 0.0 folds negative zero into plain 0.0
+    columns = [(np.asarray(col, dtype=float) + 0.0).tolist()
+               for col in (sample.grid.points(), sample.values.real, sample.values.imag)]
+    lines.extend("%r,%r,%r" % row for row in zip(*columns))
     return "\n".join(lines) + "\n", [], EXIT_OK
 
 

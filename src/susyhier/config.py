@@ -5,13 +5,17 @@ starts a comment, on a line of its own or after a header or value; blank
 lines and a leading UTF-8 byte-order mark are ignored.  Sections are
 `[model]`, `[grid]`, `[units]`, `[run]`; each key is a field of the class its
 section builds, and a key left out takes the field's default.  Complex values
-are written `a+bi` / `a-bi` (also plain `a` or `bi`).  Unknown sections,
+are written `a+bi` / `a-bi` (also plain `a` or `bi`), each number in ASCII
+decimal digits with no blank, digit separator or bracket inside it; blanks
+may stand only beside a sign and before the `i`.  Integers are ASCII digits
+with an optional sign.  Unknown sections,
 unknown keys, duplicate keys, and malformed values are all hard errors --
 nothing is computed from a config that does not parse cleanly.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
@@ -25,13 +29,23 @@ from .units import UnitSystem
 DEFAULT_POINTS = 4000
 
 
+# a real number in ASCII decimal digits, as in 2, .5, 2.5e-3 or inf (which
+# is then refused as not finite), with no blank, separator or bracket inside it
+_REAL = r"(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?|nan))"
+# numbers and signs and a last i, with blanks only beside a sign or before the
+# i; of these, complex() takes only the forms `a`, `bi`, `a+bi` and `a-bi`
+_COMPLEX_LITERAL = re.compile(rf"[+-]?\s*{_REAL}?(?:\s*[+-]\s*{_REAL}?)?\s*i?", re.ASCII)
+_INT_LITERAL = re.compile(r"[+-]?\d+", re.ASCII)
+
+
 def parse_complex_literal(text: str, where: str = "value") -> complex:
     """Parse `a+bi` / `a-bi` / `a` / `bi` into a finite complex number."""
-    s = "".join(text.split())
+    s = text.strip()
     if not s:
         raise ConfigError(f"{where}: empty value")
     if "j" in s or "J" in s:
         raise ConfigError(f"{where}: imaginary unit is written 'i', got {text!r}")
+    s = "".join(s.split()) if _COMPLEX_LITERAL.fullmatch(s) else ""
     if s.endswith("i"):
         s = s[:-1] + "j"
     try:
@@ -51,10 +65,9 @@ def _parse_real(text: str, where: str) -> float:
 
 
 def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text.strip(), 10)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+    if not _INT_LITERAL.fullmatch(text.strip()):
+        raise ConfigError(f"{where}: expected an integer, got {text!r}")
+    return int(text)
 
 
 def _parse_mode(text: str, where: str) -> Mode:

@@ -69,8 +69,10 @@ ARNOLDI_START_K = 16
 # levels that the Hermitian part of H has below the threshold
 ARNOLDI_MARGIN = 4
 
-# verify solves for this many levels beyond the admissible ones, so that box
-# states or conjugate partners sorted in among them cannot crowd a bound level out
+# a complex well's verify solves for this many levels beyond the admissible
+# ones, so that box states or conjugate partners sorted by (Re, Im) in among
+# them cannot crowd a bound level out; a real well's levels come ascending and
+# verify solves exactly the ones its records index
 VERIFY_EXTRA_LEVELS = 5
 
 # two levels whose distance from each other's conjugate is within this share
@@ -561,14 +563,21 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
     """Match admissible closed-form levels against the certified FD spectrum.
 
     Each hierarchy depth l is paired on its own: H_l has V's levels from
-    index l upward, so the depths share FD levels rather than compete for
-    them, and a numeric level is unmatched only if no depth took it.
+    index l upward, so level n of H_l is V's level n + l, the depths share
+    FD levels rather than compete for them, and a numeric level is
+    unmatched only if no depth took it.  A structurally Hermitian well
+    solves V's levels 0..max(n + l) of the admissible records, which its
+    real H gives in ascending order; any other well solves
+    VERIFY_EXTRA_LEVELS more levels than it has admissible records.
     """
     admissible = [r for r in analytic if r.admissible]
     if not admissible:
         raise InvalidModelError("no admissible analytic levels to verify")
     admissible.sort(key=lambda r: (r.nq.l, r.nq.n))
-    k = len(admissible) + VERIFY_EXTRA_LEVELS
+    if model.structurally_hermitian():
+        k = max(r.nq.n + r.nq.l for r in admissible) + 1
+    else:
+        k = len(admissible) + VERIFY_EXTRA_LEVELS
     num = converged_spectrum(model, grid, k, units, tol_abs)
     assignment = {}
     for l in {r.nq.l for r in admissible}:

@@ -101,10 +101,11 @@ def test_verify_match_deterministic(tmp_path):
     assert "role = gating" in text
     assert "verdict = match" in text
     assert "converged = true" in text
-    # five matched rows, then the positive box levels left unmatched
+    # five matched rows; a real well solves only the five levels they index,
+    # and each of them pairs, so no numeric level is left unmatched
     rows = [ln for ln in text.splitlines() if ln and ln[0].isdigit()]
     assert len(rows) == 5
-    assert "# unmatched numeric eigenvalue" in text
+    assert "# unmatched numeric eigenvalue" not in text
     # every numeric cell round-trips exactly through float()
     for ln in rows:
         for cell in ln.split(",")[2:]:
@@ -144,7 +145,8 @@ def test_verify_mismatch_exit_code(tmp_path, capsys):
 
 
 def test_verify_rel_err_is_nan_at_zero_energy(tmp_path, capsys):
-    # the one admissible level is E = 0, paired with a box state above it
+    # the one admissible level is E = 0 at n = l = 0, so only the lowest FD
+    # level is solved, and E = 0 pairs with the well's ground level -4
     cfg = write_cfg(tmp_path, "[model]\nfamily = poschl_teller\nv0 = 6\nq = 1\n\n"
                               "[grid]\nn_points = 1001\n")
     assert main(["verify", "--config", cfg]) == 3
@@ -168,10 +170,9 @@ def test_verify_pairs_each_hierarchy_depth_on_its_own(tmp_path, capsys):
         ("0", "0", "-20.25"), ("1", "0", "-12.25"), ("2", "0", "-6.25"),
         ("0", "1", "-12.25"), ("1", "1", "-6.25"), ("2", "1", "-2.25")]
     assert all(float(r[6]) < 1e-6 for r in rows)
-    # each depth took the levels it shares with the other, so neither is unmatched
-    unmatched = [float(ln.split()[-1].split("+")[0]) for ln in out.splitlines()
-                 if ln.startswith("# unmatched numeric")]
-    assert all(e > -1.0 for e in unmatched)
+    # each depth took the levels it shares with the other, and the four levels
+    # solved (V's 0..3) are all taken, so none is unmatched
+    assert not any(ln.startswith("# unmatched numeric") for ln in out.splitlines())
 
 
 def test_verify_self_consistent_levels_follow_units(tmp_path, capsys):
@@ -433,6 +434,21 @@ def test_bad_config_exits_1(tmp_path, capsys):
                               "coupling = 3\n")
     assert main(["spectrum", "--config", cfg]) == 1
     assert "not valid for family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["v1 = 2 5", "v1 = 1 000", "v1 = 1_000", "v1 = (5)",
+                                  "n_points = \uff11\uff12"])
+def test_number_outside_the_grammar_exits_1(tmp_path, capsys, line):
+    model = "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n"
+    if line.startswith("v1"):
+        text = model.replace("v1 = 25", line)
+    else:
+        text = model + f"\n[grid]\n{line}\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["spectrum", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_zero_omega_exits_1(tmp_path, capsys):

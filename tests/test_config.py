@@ -80,12 +80,18 @@ scan1_count = 5
     ("2.5e-3i", 2.5e-3j),
     ("i", 1j),
     ("-0.5", -0.5 + 0j),
+    ("+7", 7 + 0j),
+    ("- 3", -3 + 0j),
 ])
 def test_complex_literal_accepts(text, expected):
     assert parse_complex_literal(text) == expected
 
 
-@pytest.mark.parametrize("text", ["1+2j", "J", "", "abc", "1+2i+3i", "inf", "nani"])
+@pytest.mark.parametrize("text", [
+    "1+2j", "J", "", "abc", "1+2i+3i", "inf", "nani",
+    # blanks inside a number, digit separators, brackets and non-ASCII digits
+    "2 5", "1 000", "1e- 5", "1 2i", "1_000", "(5)", "\uff11\uff12",
+])
 def test_complex_literal_rejects(text):
     with pytest.raises(ConfigError):
         parse_complex_literal(text)
@@ -264,6 +270,13 @@ def test_mode_tokens():
     "[model]\nfamily = morse_general\nv1 = 25\nv2 = fifty\n",  # malformed number
     "[model]\nfamily = morse_general\nv1 = 25\nv2 = 5j\n",     # wrong imaginary unit
     MINIMAL + "\n[grid]\nn_points = 1e3\n",                    # int slot with float
+    "[model]\nfamily = morse_general\nv1 = 2 5\nv2 = 50\n",    # blank inside a number
+    "[model]\nfamily = morse_general\nv1 = 1 000\nv2 = 50\n",  # blank as digit group
+    "[model]\nfamily = morse_general\nv1 = 1_000\nv2 = 50\n",  # digit separator
+    "[model]\nfamily = morse_general\nv1 = (5)\nv2 = 50\n",    # brackets
+    MINIMAL + "\n[grid]\nn_points = 4 000\n",                  # blank in an int
+    MINIMAL + "\n[grid]\nn_points = 1_000\n",                  # separator in an int
+    MINIMAL + "\n[grid]\nn_points = \uff11\uff12\n",            # full-width digits
     MINIMAL + "\n[units]\nhbar = 1+2i\n",                      # imaginary in real slot
     MINIMAL + "\n[units]\nplanck = 1\n",                       # unknown key
     MINIMAL + "\n[run]\nl = -1\n",                             # negative level

@@ -187,10 +187,51 @@ def test_verify_match():
     assert all(p.abs_err < 1e-6 for p in report.pairs)
     for p in report.pairs:
         assert p.rel_err == pytest.approx(p.abs_err / abs(p.record.energy))
-    # leftover numeric levels are the box continuum, all positive
-    assert all(e.real > 0.0 for e in report.unmatched_numeric)
+    # a real well solves only the levels the records index, so none is left over
+    assert report.unmatched_numeric == ()
     # pairs follow the (l, n) order of the records
     assert [p.record.nq.n for p in report.pairs] == [0, 1, 2, 3, 4]
+
+
+def test_gating_verify_solves_the_levels_its_records_index(monkeypatch):
+    # level n of H_l is V's level n + l: six records at depths 0 and 1 with
+    # n = 0..2 index V's levels 0..3, so four levels are solved on each grid
+    asked = []
+    solve = verifier_mod.eigen_spectrum
+
+    def counting(ham, k, vectors=True):
+        asked.append((ham.dimension, k))
+        return solve(ham, k, vectors)
+    monkeypatch.setattr(verifier_mod, "eigen_spectrum", counting)
+    records = spectrum_records(MORSE, 2, 1, mode=Mode.SELF_CONSISTENT)
+    assert max(r.nq.n + r.nq.l for r in records if r.admissible) == 3
+    report = verify(MORSE, records, MORSE_GRID)
+    assert report.verdict is Verdict.MATCH
+    n = MORSE_GRID.n_points - 2
+    assert asked == [(n, 4), (2 * n + 1, 4)]
+    assert report.unmatched_numeric == ()
+
+
+def test_diagnostic_verify_lists_admissible_plus_extra_levels():
+    model = MorsePT1(16.0, 12.0)
+    records = spectrum_records(model, 3, 0, mode=Mode.SELF_CONSISTENT)
+    admissible = sum(r.admissible for r in records)
+    report = verify(model, records, Grid(-20.0, 20.0, 201))
+    assert (len(report.pairs) + len(report.unmatched_numeric)
+            == admissible + verifier_mod.VERIFY_EXTRA_LEVELS)
+
+
+def test_gating_verify_keeps_a_level_that_its_records_skip():
+    # records n = 0, 1 and 3 index V's levels 0..3, so the skipped level
+    # n = 2 (-6.25) is solved and listed as unmatched; solving as many levels
+    # as there are records would pair n = 3 (-2.25) with -6.25
+    records = [r for r in spectrum_records(MORSE, 3, 0, mode=Mode.SELF_CONSISTENT)
+               if r.nq.n != 2]
+    report = verify(MORSE, records, MORSE_GRID)
+    assert report.verdict is Verdict.MATCH
+    assert [p.record.nq.n for p in report.pairs] == [0, 1, 3]
+    assert len(report.unmatched_numeric) == 1
+    assert report.unmatched_numeric[0] == pytest.approx(-6.25, abs=1e-6)
 
 
 def test_verify_is_order_independent():
