@@ -142,12 +142,12 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[str, list[str], int]:
     """sample the ground-state wavefunction on the grid"""
+    import numpy as np
     sample = groundstate_wavefunction(cfg.model, cfg.l, cfg.grid, cfg.units, mode=cfg.mode)
     lines = []
     if not sample.normalized:
         lines.append("# unnormalized")
     lines.append("x,psi_re,psi_im")
-    import numpy as np
     # Python floats, as _fmt writes them, one list per column rather than a
     # numpy scalar per cell; adding 0.0 folds negative zero into plain 0.0
     columns = [(np.asarray(col, dtype=float) + 0.0).tolist()
