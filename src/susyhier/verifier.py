@@ -60,14 +60,10 @@ EDGE_DECAY_RTOL = 1e-6
 # a bound state lies below the continuum edge, the x -> +infinity limit of every well here
 CONTINUUM_EDGE = 0.0
 
-# shift-invert Arnoldi asks for at most this many eigenpairs at first and doubles
-# the count until the numerical-range certificate holds; a deeper first guess can
-# cost more (PoschlTeller(300+2i, 1+0.3i) certifies at k = 16, not at m + 4 = 21)
-ARNOLDI_START_K = 16
-
-# the first Arnoldi call asks for this many eigenpairs beyond the number of
-# levels that the Hermitian part of H has below the threshold
-ARNOLDI_MARGIN = 4
+# shift-invert Arnoldi asks for this many eigenpairs at first and doubles the
+# count until the numerical-range certificate holds; every point of the scan
+# lattices certifies at 8, and PoschlTeller(300+2i, 1+0.3i) at 16
+ARNOLDI_START_K = 8
 
 # a complex well's verify solves for this many levels beyond the admissible
 # ones, so that box states or conjugate partners sorted by (Re, Im) in among
@@ -250,12 +246,12 @@ def _converges(solve):
     return checked
 
 
-def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range) -> np.ndarray:
-    """The ascending eigenvalues of the real tridiagonal (d, e), bit for bit as
-    `scipy.linalg.eigh_tridiagonal(d, e, True, select, select_range)`.
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvalues of the real tridiagonal (d, e), ascending, bit
+    for bit as `scipy.linalg.eigh_tridiagonal(d, e, True, "i", (0, k - 1))`.
 
-    That runs LAPACK's bisection dstebz (abstol 0, ORDER 'E'); the same call
-    goes here to scipy's bundled OpenBLAS, without importing scipy.
+    That runs LAPACK's bisection dstebz (RANGE 'I', abstol 0, ORDER 'E'); the
+    same call goes here to scipy's bundled OpenBLAS, without importing scipy.
     eigh_tridiagonal itself runs where that file does not export it and for
     non-finite input; dstebz's error (info != 0) raises LinAlgError.
     """
@@ -263,15 +259,13 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range) -
     stebz = _lapack("dstebz", 18)
     if stebz is None or not (np.isfinite(d).all() and np.isfinite(e).all()):
         from scipy.linalg import eigh_tridiagonal
-        return eigh_tridiagonal(d, e, eigvals_only=True, select=select,
-                                select_range=select_range)
+        return eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
     n = len(d)
-    vl, vu = map(float, select_range) if select == "v" else (0.0, 1.0)
-    il, iu = (1, 1) if select == "v" else (select_range[0] + 1, select_range[1] + 1)
     m, nsplit, info = _LAPACK_INT(0), _LAPACK_INT(0), _LAPACK_INT(0)
     w, iblock, isplit = np.zeros(n), np.zeros(n, _LAPACK_INT), np.zeros(n, _LAPACK_INT)
-    stebz(select.upper().encode(), b"E", _ref(n), _ref(vl, ctypes.c_double),
-          _ref(vu, ctypes.c_double), _ref(il), _ref(iu), _ref(0.0, ctypes.c_double),
+    # vl and vu are not referenced with RANGE 'I'
+    stebz(b"I", b"E", _ref(n), _ref(0.0, ctypes.c_double), _ref(1.0, ctypes.c_double),
+          _ref(1), _ref(k), _ref(0.0, ctypes.c_double),
           d.ctypes, e.ctypes, ctypes.byref(m), ctypes.byref(nsplit), w.ctypes, iblock.ctypes,
           isplit.ctypes, np.zeros(4 * n).ctypes, np.zeros(3 * n, _LAPACK_INT).ctypes,
           ctypes.byref(info))
@@ -308,20 +302,21 @@ def _one_blas_thread():
 
 
 def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,
-                       k: int, accuracy: float):
+                       accuracy: float):
     """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius,
     each eigenvalue inside the circle to within accuracy.
 
-    Shift-invert Arnoldi on the tridiagonal H, with k pairs at first and k
-    doubling from there; H - sigma is factored once by LAPACK's tridiagonal
-    LU, and ARPACK runs on one BLAS thread with a Krylov basis of 2k + 1
-    vectors.  ARPACK accepts a Ritz value mu of (H - sigma)^-1 once its
-    residual is below tol |mu|, and E = sigma + 1/mu then errs by about
-    tol |E - sigma|, so tol = accuracy / radius bounds that error by accuracy
-    inside the circle.  The farthest value certifies the circle only if it
-    lies beyond radius by more than its own error bound.  None when k would
-    reach N - 1 (ARPACK's limit; a grid too small for the first k included),
-    when H - sigma is exactly singular, or when ARPACK does not converge.
+    Shift-invert Arnoldi on the tridiagonal H, with k = ARNOLDI_START_K
+    pairs at first and k doubling from there; H - sigma is factored once by
+    LAPACK's tridiagonal LU, and ARPACK runs on one BLAS thread with a
+    Krylov basis of 2k + 1 vectors.  ARPACK accepts a Ritz value mu of
+    (H - sigma)^-1 once its residual is below tol |mu|, and E = sigma + 1/mu
+    then errs by about tol |E - sigma|, so tol = accuracy / radius bounds
+    that error by accuracy inside the circle.  The farthest value certifies
+    the circle only if it lies beyond radius by more than its own error
+    bound.  None when k would reach N - 1 (ARPACK's limit; a grid too small
+    for the first k included), when H - sigma is exactly singular, or when
+    ARPACK does not converge.
     """
     n = ham.dimension
     from scipy.linalg.lapack import zgttrf, zgttrs
@@ -335,7 +330,7 @@ def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: floa
     # a fixed start vector with no symmetry keeps the output deterministic and
     # overlaps every eigenvector, odd ones in a symmetric well included
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
-    tol = accuracy / radius
+    tol, k = accuracy / radius, ARNOLDI_START_K
     while k < n - 1:
         try:
             with _one_blas_thread():
@@ -362,31 +357,26 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
     positive definite and real.  Real wells take the window
     (min V - 1, CONTINUUM_EDGE] of the tridiagonal solver.  Complex wells
     take the eigenvalues nearest the centre of the box
-    [min Re V, CONTINUUM_EDGE] x [min Im V, max Im V] until the farthest of
-    them lies outside the circle around the box by more than its error
-    bound, which proves that none inside it is missing; the dense solver
-    takes over where shift-invert Arnoldi cannot give that proof.  The
-    first Arnoldi call asks for as many pairs as the Hermitian part Re H has
-    levels in the same window, plus ARNOLDI_MARGIN, at most ARNOLDI_START_K:
-    that count follows the depth of the well, and the certificate corrects a
-    guess that falls short.
+    [min Re V, CONTINUUM_EDGE] x [min Im V, max Im V], ARNOLDI_START_K at
+    first and doubling (`_certified_nearest`), until the farthest of them
+    lies outside the circle around the box by more than its error bound,
+    which proves that none inside it is missing; the dense solver takes
+    over where shift-invert Arnoldi cannot give that proof.
     """
     n = ham.dimension
     v = ham.diagonal + 2.0 * ham.off_diagonal
     vals, vecs = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
     if v.real.min() < CONTINUUM_EDGE:
-        d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
-        window = (v.real.min() - 1.0, CONTINUUM_EDGE)
         if ham.is_real:
             from scipy.linalg import eigh_tridiagonal
-            vals, vecs = eigh_tridiagonal(d, e, select="v", select_range=window)
+            d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
+            vals, vecs = eigh_tridiagonal(d, e, select="v",
+                                          select_range=(v.real.min() - 1.0, CONTINUUM_EDGE))
         else:
-            m = len(_eigh_tridiagonal(d, e, "v", window))
             sigma = complex(0.5 * (v.real.min() + CONTINUUM_EDGE),
                             0.5 * (v.imag.min() + v.imag.max()))
-            found = _certified_nearest(ham, sigma,
-                                       abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma),
-                                       min(ARNOLDI_START_K, m + ARNOLDI_MARGIN), accuracy)
+            radius = abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma)
+            found = _certified_nearest(ham, sigma, radius, accuracy)
             if found is None:
                 return eigen_spectrum(ham, n)
             vals, vecs = found
@@ -412,7 +402,7 @@ def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
             from scipy.linalg import eigh_tridiagonal
             vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         else:
-            vals, vecs = _eigh_tridiagonal(d, e, "i", (0, k - 1)), None
+            vals, vecs = _eigh_tridiagonal(d, e, k), None
     elif vectors:
         from scipy.linalg import eig
         vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)

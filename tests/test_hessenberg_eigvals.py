@@ -296,7 +296,7 @@ def test_repeated_solves_load_once_and_share_each_typed_routine(monkeypatch):
         looked_up = []
         for _ in range(2):
             verifier_mod._hessenberg_eigvals(ham)
-            verifier_mod._eigh_tridiagonal(d, e, "i", (0, 4))
+            verifier_mod._eigh_tridiagonal(d, e, 5)
             looked_up.append([verifier_mod._lapack(*routine) for routine in ROUTINES])
     finally:
         _clear_lookup_caches()

@@ -17,20 +17,19 @@ from susyhier import (Grid, MorseGeneral, NotConvergedError, PoschlTeller, build
 from susyhier import verifier as verifier_mod
 
 
-def _assert_bitwise(d, e, select, select_range):
-    vals = verifier_mod._eigh_tridiagonal(d, e, select, select_range)
-    expected = eigh_tridiagonal(d, e, eigvals_only=True, select=select,
-                                select_range=select_range)
+def _assert_bitwise(d, e, k):
+    vals = verifier_mod._eigh_tridiagonal(d, e, k)
+    expected = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, k - 1))
     assert np.array_equal(vals, expected)
 
 
 def _solver_matrices():
-    """(d, e, k, window) of the matrices verify and scan solve.
+    """(d, e, k) of real tridiagonal matrices and the k lowest levels to solve.
 
     A real Morse well on verify's default 4000-point grid and its two
-    refinements (N = 3998, 7997, 15995), and the Hermitian part of a complex
-    scan point at N = 255, with the k verify asks for and the window
-    (min V - 1, 0) the scan solves in.
+    refinements (N = 3998, 7997, 15995), as verify solves them, and the
+    Hermitian part of a complex scan point at N = 255, a small matrix with
+    another spectrum.
     """
     cases = []
     grid = Grid(-3.0, 30.0, 4000)
@@ -41,9 +40,7 @@ def _solver_matrices():
     out = []
     for model, grid in cases:
         ham = build_hamiltonian(model, grid)
-        v = (ham.diagonal + 2.0 * ham.off_diagonal).real
-        e = np.full(ham.dimension - 1, ham.off_diagonal)
-        out.append((ham.diagonal.real, e, 9, (v.min() - 1.0, 0.0)))
+        out.append((ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal), 9))
     return out
 
 
@@ -53,9 +50,7 @@ MATRIX_IDS = [f"N{len(d)}" for d, *_ in SOLVER_MATRICES]
 
 @pytest.mark.parametrize("index", range(len(SOLVER_MATRICES)), ids=MATRIX_IDS)
 def test_solver_matrices_bitwise(index):
-    d, e, k, window = SOLVER_MATRICES[index]
-    _assert_bitwise(d, e, "i", (0, k - 1))
-    _assert_bitwise(d, e, "v", window)
+    _assert_bitwise(*SOLVER_MATRICES[index])
 
 
 @st.composite
@@ -64,18 +59,13 @@ def tridiagonals(draw):
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d, e = scale * rng.standard_normal(n), scale * rng.standard_normal(n - 1)
-    k = draw(st.integers(1, min(n, 40)))
-    # a window from the lowest diagonal value to the k-th, so that it holds some levels
-    low, high = np.sort(d)[[0, k - 1]]
-    return d, e, k, (low - scale, high)
+    return d, e, draw(st.integers(1, min(n, 40)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=tridiagonals())
 def test_random_tridiagonals_bitwise(case):
-    d, e, k, window = case
-    _assert_bitwise(d, e, "i", (0, k - 1))
-    _assert_bitwise(d, e, "v", window)
+    _assert_bitwise(*case)
 
 
 def _exporting_libraries():
@@ -89,9 +79,7 @@ def _exporting_libraries():
 def test_each_exporting_library_bitwise(lib, replace_openblas):
     replace_openblas(lambda: lib)
     assert verifier_mod._lapack("dstebz", 18) is not None
-    d, e, k, window = SOLVER_MATRICES[0]
-    _assert_bitwise(d, e, "i", (0, k - 1))
-    _assert_bitwise(d, e, "v", window)
+    _assert_bitwise(*SOLVER_MATRICES[0])
 
 
 def _recording_eigh_tridiagonal(monkeypatch):
@@ -109,33 +97,34 @@ def test_no_exporting_library_falls_back_bitwise(monkeypatch, replace_openblas):
     replace_openblas(lambda: None)
     assert verifier_mod._lapack("dstebz", 18) is None
     calls = _recording_eigh_tridiagonal(monkeypatch)
-    d, e, k, window = SOLVER_MATRICES[-1]
-    _assert_bitwise(d, e, "i", (0, k - 1))
-    _assert_bitwise(d, e, "v", window)
-    assert calls == [len(d)] * 2
+    d, e, k = SOLVER_MATRICES[-1]
+    _assert_bitwise(d, e, k)
+    assert calls == [len(d)]
 
 
 def test_lapack_path_does_not_call_scipy(monkeypatch):
     if verifier_mod._lapack("dstebz", 18) is None:
         pytest.skip("scipy's bundled OpenBLAS does not export dstebz")
     calls = _recording_eigh_tridiagonal(monkeypatch)
-    d, e, k, window = SOLVER_MATRICES[-1]
-    verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1))
-    verifier_mod._eigh_tridiagonal(d, e, "v", window)
+    verifier_mod._eigh_tridiagonal(*SOLVER_MATRICES[-1])
     assert calls == []
 
 
-def test_empty_window_bitwise():
-    d, e, _, _ = SOLVER_MATRICES[-1]
-    _assert_bitwise(d, e, "v", (d.min() - 10.0, d.min() - 5.0))
-
-
-@pytest.mark.parametrize("select, select_range", [
-    ("i", (0, 0)), ("v", (-1.0, 2.5)), ("v", (2.5, 3.0)), ("v", (-1.0, 1.5))],
-    ids=["index", "window-ends-at-it", "window-starts-at-it", "window-below-it"])
-def test_one_point_bitwise(select, select_range):
+def test_one_point_bitwise():
     # dstebz reads no off-diagonal at N = 1, where eigh_tridiagonal answers itself
-    _assert_bitwise(np.array([2.5]), np.zeros(0), select, select_range)
+    _assert_bitwise(np.array([2.5]), np.zeros(0), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["lower", "both"])
+def test_two_point_bitwise(k):
+    # the smallest matrix whose off-diagonal dstebz reads
+    _assert_bitwise(np.array([2.5, -1.0]), np.array([0.75]), k)
+
+
+def test_every_level_bitwise():
+    # k = N, the upper end of RANGE 'I'
+    d, e, _ = SOLVER_MATRICES[-1]
+    _assert_bitwise(d, e, len(d))
 
 
 def test_stebz_failure_raises_not_converged_error(monkeypatch):
@@ -155,11 +144,11 @@ def test_stebz_failure_raises_not_converged_error(monkeypatch):
 
 
 def test_non_finite_input_raises_as_eigh_tridiagonal_does():
-    d, e, k, _ = SOLVER_MATRICES[-1]
+    d, e, k = SOLVER_MATRICES[-1]
     d = d.copy()
     d[3] = np.nan
     with pytest.raises(ValueError) as expected:
         eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     with pytest.raises(ValueError) as raised:
-        verifier_mod._eigh_tridiagonal(d, e, "i", (0, k - 1))
+        verifier_mod._eigh_tridiagonal(d, e, k)
     assert str(raised.value) == str(expected.value)

@@ -446,7 +446,7 @@ def test_targeted_solve_grows_k_until_certified(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
     assert_targeted_matches_dense(PoschlTeller(800.0 + 1.0j, 1.0 + 0.3j), Grid(-10.0, 10.0, 129))
-    assert ks == [16, 32]
+    assert ks == [8, 16, 32]
 
 
 @pytest.mark.parametrize("v0", [6.0 + 1.0j, 200.0 + 10.0j])
@@ -489,7 +489,7 @@ def test_farthest_value_within_its_error_bound_does_not_certify(monkeypatch):
 @pytest.mark.parametrize("certified_from, dense_fallbacks", [(32, 0), (None, 1)],
                          ids=["certified_at_n_minus_two", "never_certified"])
 def test_doubling_reaches_k_of_n_minus_two(monkeypatch, certified_from, dense_fallbacks):
-    # N = 34 interior points: k = 16 doubles to 32 = N - 2, where the Krylov
+    # N = 34 interior points: k = 8 doubles to 16 and 32 = N - 2, where the Krylov
     # basis of 2k + 1 vectors is capped at N (ARPACK needs k + 1 < ncv <= N);
     # a certificate that fails there too gives up, since k would reach N - 1
     ks, dense_calls = [], []
@@ -509,11 +509,10 @@ def test_doubling_reaches_k_of_n_minus_two(monkeypatch, certified_from, dense_fa
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", uncertified_below)
     monkeypatch.setattr(verifier_mod, "eigen_spectrum", counting_dense)
-    monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", verifier_mod.ARNOLDI_START_K)
     model, grid = PoschlTeller(8.0 + 1.5j, 1.0 + 0.4j), Grid(-10.0, 10.0, 36)
     assert build_hamiltonian(model, grid).dimension == 34
     assert_targeted_matches_dense(model, grid)
-    assert ks == [16, 32]
+    assert ks == [8, 16, 32]
     # the helper's dense reference calls its own import, which is not counted
     assert dense_calls == [34] * dense_fallbacks
 
@@ -564,7 +563,7 @@ def test_reality_scan_reports_points_without_bound_states():
 
 
 # ---------------------------------------------------------------------------
-# first Arnoldi size from the Hermitian part, and the tridiagonal LU
+# first Arnoldi size, and the tridiagonal LU
 # ---------------------------------------------------------------------------
 
 def scan_lattice_models():
@@ -586,33 +585,48 @@ def recording_eigs(monkeypatch):
     return ks
 
 
-def test_scan_lattice_first_k_is_hermitian_count_plus_margin(monkeypatch):
-    # one eigs call per complex point, sized min(16, m + 4) with m the levels
-    # of Re H below the threshold, counted here by a dense symmetric solve
+def test_scan_lattice_certifies_every_complex_point_at_the_first_k(monkeypatch):
+    # one eigs call per complex point, at k = ARNOLDI_START_K: none doubles
     cfg = SCAN_LATTICE
     ks = recording_eigs(monkeypatch)
-    expected = []
-    for model in scan_lattice_models():
-        ham = build_hamiltonian(model, cfg.grid)
-        if ham.is_real:
-            continue
-        re_h = ham.dense().real
-        m = int(np.count_nonzero(np.linalg.eigvalsh(re_h) < 0.0))
-        expected.append(min(verifier_mod.ARNOLDI_START_K, m + verifier_mod.ARNOLDI_MARGIN))
+    complex_points = sum(not build_hamiltonian(m, cfg.grid).is_real
+                         for m in scan_lattice_models())
     records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
     assert all(r.status == "ok" for r in records)
-    assert len(expected) == 90
-    assert ks == expected
-    assert max(ks) < verifier_mod.ARNOLDI_START_K
+    assert complex_points == 90
+    assert ks == [verifier_mod.ARNOLDI_START_K] * 90
 
 
-def test_targeted_solve_without_margin_grows_k_and_stays_exact(monkeypatch):
+def test_scan_lattice_solves_no_hermitian_part(monkeypatch):
+    # complex points go straight to Arnoldi with no dstebz count of Re H;
+    # real points keep scipy's value-window solve, one call each
+    cfg = SCAN_LATTICE
+    counted, windows = [], []
+    monkeypatch.setattr(verifier_mod, "_eigh_tridiagonal",
+                        lambda d, e, k: counted.append(k))
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def recording(d, e, **kwargs):
+        windows.append(kwargs["select"])
+        return eigh_tridiagonal(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    real_points = sum(build_hamiltonian(m, cfg.grid).is_real for m in scan_lattice_models())
+    records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
+    assert all(r.status == "ok" for r in records)
+    assert counted == []
+    assert real_points == 10
+    assert windows == ["v"] * real_points
+
+
+def test_targeted_solve_from_a_lower_start_grows_k_and_stays_exact(monkeypatch):
     grid = SCAN_LATTICE.grid
     models = [m for m in scan_lattice_models()
               if not build_hamiltonian(m, grid).is_real]
     sized = [targeted_bound_levels(build_hamiltonian(m, grid)) for m in models]
     ks = recording_eigs(monkeypatch)
-    monkeypatch.setattr(verifier_mod, "ARNOLDI_MARGIN", 0)
+    # two pairs leave every lattice point's circle uncertified at first
+    monkeypatch.setattr(verifier_mod, "ARNOLDI_START_K", 2)
     grown = []
     for model, reference in zip(models, sized):
         ks.clear()
