@@ -19,12 +19,13 @@ sleep, not OpenBLAS's 2**28, on the same thread count; a value of that
 variable the user set wins.  Every single-grid solve goes through
 `eigen_spectrum`.  The reality scan needs only the states below the
 continuum: `_states_below` finds a superset of them with scipy's Arnoldi
-solver (or `eigen_spectrum`), and `bound_states` alone applies the continuum
-rule.  The Arnoldi solve runs with scipy's OpenBLAS on one thread and
-numpy's at its own count, and Arnoldi solves on other threads wait their
-turn (`_one_blas_thread`).  It stops at the accuracy the scan's verdict
-needs: ARPACK's tolerance is tol_imag / 100 over the radius of the
-certification circle, which bounds the error of every eigenvalue inside the
+solver, or with `eigen_spectrum` where Arnoldi cannot certify the set, and
+`bound_states` alone applies the continuum rule.  The Arnoldi solve runs
+with scipy's OpenBLAS on one thread and numpy's at its own count, and
+Arnoldi solves on other threads wait their turn (`_one_blas_thread`).  It
+stops at the accuracy the scan's verdict needs: ARPACK's tolerance is
+tol_imag / 100 over the radius of the certification circle (at most
+ARNOLDI_MAX_TOL), which bounds the error of every eigenvalue inside the
 circle by tol_imag / 100 times its condition number, so the hundredfold
 margin covers condition numbers up to 100; for k pairs its Krylov basis
 holds 2k + 1 vectors.
@@ -64,6 +65,11 @@ CONTINUUM_EDGE = 0.0
 # count until the numerical-range certificate holds; every point of the scan
 # lattices certifies at 8, and PoschlTeller(300+2i, 1+0.3i) at 16
 ARNOLDI_START_K = 8
+
+# ARPACK's relative tolerance is at most this: at tol >= 1 no value can lie beyond
+# the circle by more than its error bound tol |E - sigma|, so k would double to
+# N - 1; the cap only tightens, where accuracy / radius exceeds it
+ARNOLDI_MAX_TOL = 0.01
 
 # a complex well's verify solves for this many levels beyond the admissible
 # ones, so that box states or conjugate partners sorted by (Re, Im) in among
@@ -301,51 +307,6 @@ def _one_blas_thread():
                 setter(saved)
 
 
-def _certified_nearest(ham: DiscretizedHamiltonian, sigma: complex, radius: float,
-                       accuracy: float):
-    """Eigenpairs nearest sigma, enough of them that the farthest lies beyond radius,
-    each eigenvalue inside the circle to within accuracy.
-
-    Shift-invert Arnoldi on the tridiagonal H, with k = ARNOLDI_START_K
-    pairs at first and k doubling from there; H - sigma is factored once by
-    LAPACK's tridiagonal LU, and ARPACK runs on one BLAS thread with a
-    Krylov basis of 2k + 1 vectors.  ARPACK accepts a Ritz value mu of
-    (H - sigma)^-1 once its residual is below tol |mu|, and E = sigma + 1/mu
-    then errs by about tol |E - sigma|, so tol = accuracy / radius bounds
-    that error by accuracy inside the circle.  The farthest value certifies
-    the circle only if it lies beyond radius by more than its own error
-    bound.  None when k would reach N - 1 (ARPACK's limit; a grid too small
-    for the first k included), when H - sigma is exactly singular, or when
-    ARPACK does not converge.
-    """
-    n = ham.dimension
-    from scipy.linalg.lapack import zgttrf, zgttrs
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
-    off = np.full(n - 1, ham.off_diagonal, dtype=complex)
-    dl, d, du, du2, ipiv, info = zgttrf(off, ham.diagonal - sigma, off)
-    if info != 0:
-        return None
-    op = LinearOperator((n, n), matvec=lambda b: zgttrs(dl, d, du, du2, ipiv, b)[0],
-                        dtype=complex)
-    # a fixed start vector with no symmetry keeps the output deterministic and
-    # overlaps every eigenvector, odd ones in a symmetric well included
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
-    tol, k = accuracy / radius, ARNOLDI_START_K
-    while k < n - 1:
-        try:
-            with _one_blas_thread():
-                # ARPACK needs k + 1 < ncv <= N, which 2k + 1 capped at N meets for k < N - 1
-                mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=tol, ncv=min(n, 2 * k + 1))
-        except ArpackNoConvergence:
-            return None
-        vals = sigma + 1.0 / mu
-        far = np.abs(vals - sigma).max()
-        if far - tol * far > radius:
-            return vals, vecs
-        k *= 2
-    return None
-
-
 @_converges
 def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectrum:
     """A superset of the eigenpairs with Re E < CONTINUUM_EDGE, in no set order
@@ -356,31 +317,54 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
     Re E > min Re V, min Im V <= Im E <= max Im V: the Laplacian part is
     positive definite and real.  Real wells take the window
     (min V - 1, CONTINUUM_EDGE] of the tridiagonal solver.  Complex wells
-    take the eigenvalues nearest the centre of the box
-    [min Re V, CONTINUUM_EDGE] x [min Im V, max Im V], ARNOLDI_START_K at
-    first and doubling (`_certified_nearest`), until the farthest of them
-    lies outside the circle around the box by more than its error bound,
-    which proves that none inside it is missing; the dense solver takes
-    over where shift-invert Arnoldi cannot give that proof.
+    take the k eigenpairs nearest the centre sigma of the box
+    [min Re V, CONTINUUM_EDGE] x [min Im V, max Im V] by shift-invert
+    Arnoldi: H - sigma is factored once by LAPACK's tridiagonal LU, and
+    ARPACK runs on one BLAS thread with a Krylov basis of 2k + 1 vectors,
+    k = ARNOLDI_START_K at first and doubling, until the farthest value lies
+    outside the circle around the box by more than its own error bound,
+    which proves that none inside it is missing.  ARPACK accepts a Ritz
+    value mu of (H - sigma)^-1 once its residual is below tol |mu|, and
+    E = sigma + 1/mu then errs by about tol |E - sigma|, so tol = accuracy /
+    radius (at most ARNOLDI_MAX_TOL) bounds that error by accuracy inside
+    the circle.  The dense solver takes over where H - sigma is exactly
+    singular, where k would reach N - 1 (ARPACK's limit; a grid too small
+    for the first k included) and where ARPACK does not converge.
     """
     n = ham.dimension
     v = ham.diagonal + 2.0 * ham.off_diagonal
-    vals, vecs = np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex)
-    if v.real.min() < CONTINUUM_EDGE:
-        if ham.is_real:
-            from scipy.linalg import eigh_tridiagonal
-            d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
-            vals, vecs = eigh_tridiagonal(d, e, select="v",
-                                          select_range=(v.real.min() - 1.0, CONTINUUM_EDGE))
-        else:
-            sigma = complex(0.5 * (v.real.min() + CONTINUUM_EDGE),
-                            0.5 * (v.imag.min() + v.imag.max()))
-            radius = abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma)
-            found = _certified_nearest(ham, sigma, radius, accuracy)
-            if found is None:
-                return eigen_spectrum(ham, n)
-            vals, vecs = found
-    return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid)
+    if v.real.min() >= CONTINUUM_EDGE:
+        return NumericSpectrum(eigenvalues=np.zeros(0, dtype=complex),
+                               eigenvectors=np.zeros((n, 0), dtype=complex), grid=ham.grid)
+    if ham.is_real:
+        from scipy.linalg import eigh_tridiagonal
+        d, e = ham.diagonal.real, np.full(n - 1, ham.off_diagonal)
+        vals, vecs = eigh_tridiagonal(d, e, select="v",
+                                      select_range=(v.real.min() - 1.0, CONTINUUM_EDGE))
+        return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid)
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    sigma = complex(0.5 * (v.real.min() + CONTINUUM_EDGE), 0.5 * (v.imag.min() + v.imag.max()))
+    radius = abs(complex(CONTINUUM_EDGE, v.imag.max()) - sigma)
+    off = np.full(n - 1, ham.off_diagonal, dtype=complex)
+    dl, d, du, du2, ipiv, info = zgttrf(off, ham.diagonal - sigma, off)
+    if info == 0:
+        op = LinearOperator((n, n), matvec=lambda b: zgttrs(dl, d, du, du2, ipiv, b)[0],
+                            dtype=complex)
+        # a fixed start vector with no symmetry keeps the output deterministic and
+        # overlaps every eigenvector, odd ones in a symmetric well included
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n).astype(complex)
+        tol, k = min(accuracy / radius, ARNOLDI_MAX_TOL), ARNOLDI_START_K
+        with suppress(ArpackNoConvergence), _one_blas_thread():
+            while k < n - 1:
+                # ARPACK needs k + 1 < ncv <= N, which 2k + 1 capped at N meets for k < N - 1
+                mu, vecs = eigs(op, k=k, which="LM", v0=v0, tol=tol, ncv=min(n, 2 * k + 1))
+                vals = sigma + 1.0 / mu
+                far = np.abs(vals - sigma).max()
+                if far - tol * far > radius:
+                    return NumericSpectrum(eigenvalues=vals, eigenvectors=vecs, grid=ham.grid)
+                k *= 2
+    return eigen_spectrum(ham, n)
 
 
 @_converges

@@ -24,6 +24,7 @@ from susyhier import (
     partner_potential,
     riccati_residual,
     solve_selfconsistent_morse,
+    spectrum_records,
     superpotential,
 )
 from susyhier.expressions import RationalPartner, exp_sum, riccati_apply
@@ -189,6 +190,40 @@ def test_groundstate_log_derivative_is_minus_w(model, mode, l, units):
     logderiv = (-logs[:, 4] + 8.0 * logs[:, 3] - 8.0 * logs[:, 1] + logs[:, 0]) / (12.0 * h)
     w = lad.superpotential(l, units).evaluate(x) / lad.w_scale
     assert np.max(np.abs(logderiv + w)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# identities between families
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(v1=_modulus(4.0, 25.0), v2=_modulus(0.0, 25.0), alpha=st.floats(0.7, 2.0),
+       s=st.floats(-1.0, 1.0), mode=st.sampled_from(list(Mode)))
+def test_morse_general_translation(v1, v2, alpha, s, mode):
+    """V(x + s) is MorseGeneral(v1 e^{-2 alpha s}, v2 e^{-alpha s}, alpha): the same
+    levels and admissibility flags in both modes, and in self-consistent mode
+    W_l(x + s) and, up to a constant factor, psi0(x + s)."""
+    well = MorseGeneral(v1, v2, alpha)
+    moved = MorseGeneral(v1 * math.exp(-2.0 * alpha * s), v2 * math.exp(-alpha * s), alpha)
+    for r, m in zip(spectrum_records(well, 6, 2, mode=mode),
+                    spectrum_records(moved, 6, 2, mode=mode)):
+        assert r.nq == m.nq
+        e = r.energy
+        assert abs(m.energy - e) <= 1e-12 * (1.0 + abs(e))
+        # E = -b^2 and the flag reads Re b > 0 in both modes, with (Re b)^2 =
+        # (|E| - Re E) / 2; a flag whose Re b is within roundoff of 0 may flip
+        if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
+            assert m.admissible == r.admissible
+    if mode is Mode.SELF_CONSISTENT:
+        lad, moved_lad = ladder(well, mode), ladder(moved, mode)
+        x = np.array([-0.5, 0.0, 0.5, 1.0]) / alpha
+        for l in range(3):
+            w = lad.superpotential(l, DEFAULT_UNITS).evaluate(x + s)
+            moved_w = moved_lad.superpotential(l, DEFAULT_UNITS).evaluate(x)
+            assert np.max(np.abs(moved_w - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+            ratio = (lad.groundstate(l, x + s, DEFAULT_UNITS)
+                     / moved_lad.groundstate(l, x, DEFAULT_UNITS))
+            assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -585,13 +585,16 @@ def recording_eigs(monkeypatch):
     return ks
 
 
-def test_scan_lattice_certifies_every_complex_point_at_the_first_k(monkeypatch):
+# at tol_imag = 1e3, accuracy / radius exceeds 1, and only ARNOLDI_MAX_TOL lets
+# a circle certify: uncapped, every point doubles k to N - 1 and goes dense
+@pytest.mark.parametrize("tol_imag", [SCAN_LATTICE.tol_imag, 1e3])
+def test_scan_lattice_certifies_every_complex_point_at_the_first_k(monkeypatch, tol_imag):
     # one eigs call per complex point, at k = ARNOLDI_START_K: none doubles
     cfg = SCAN_LATTICE
     ks = recording_eigs(monkeypatch)
     complex_points = sum(not build_hamiltonian(m, cfg.grid).is_real
                          for m in scan_lattice_models())
-    records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, cfg.tol_imag, cfg.units)
+    records = reality_scan(cfg.model, cfg.scan1, cfg.scan2, cfg.grid, tol_imag, cfg.units)
     assert all(r.status == "ok" for r in records)
     assert complex_points == 90
     assert ks == [verifier_mod.ARNOLDI_START_K] * 90
