@@ -1,10 +1,13 @@
 """Golden bytes of the closed-form layer in both hierarchy modes.
 
-Pins, for each of the six families and for `poschl_teller` with pure-imaginary
-V0 and q (a compact kernel of its own): `spectrum` stdout, stderr and exit
-code (n_max = 3, l_max = 1), the ground energies of `hierarchy(model, 2, mode)`,
-and `riccati_residual` at l = 0..2, including the UnsupportedFamilyError
-message where self-consistent mode is refused; then V and the ground state
+Pins, for each of the six families, for `poschl_teller` with pure-imaginary
+V0 and q (a compact kernel of its own), and for `morse_general` and
+`poschl_teller` in non-default units (where hbar^2 / 2m != 1, so a level or
+a superpotential that skips its scaling shows): `spectrum` stdout, stderr
+and exit code (n_max = 3, l_max = 1), the ground energies of
+`hierarchy(model, 2, mode, units)`, and `riccati_residual` at l = 0..2,
+including the UnsupportedFamilyError message where self-consistent mode is
+refused; then V and the ground state
 of `groundstate_wavefunction` in both modes, at l = 0 and 1 (and 2 for the
 rational wells, whose ground state raises a base to the power l + 1),
 sampled on a 17-point grid over the family's window, or the error line where
@@ -27,15 +30,20 @@ from susyhier.config import load_config
 
 GOLDEN = Path(__file__).parent / "data" / "closed_form_golden.txt"
 
-# (label in the golden file, family, parameters)
+# [units] of the non-default cases: hbar^2 / 2m = 1.207..., beta = 1.270...
+UNITS = "\n[units]\nhbar = 1.3\nmass = 0.7\ne_sq = 1.9\n"
+
+# (label in the golden file, family, parameters, [units] section)
 FAMILIES = [
-    ("morse_general", "morse_general", "v1 = 25\nv2 = 50"),
-    ("morse_nonpt", "morse_nonpt", "d = 9\np = 2"),
-    ("morse_pt1", "morse_pt1", "v1 = 16\nv2 = 12"),
-    ("morse_pt2", "morse_pt2", "omega = 2\nd = 3"),
-    ("poschl_teller", "poschl_teller", "v0 = 6\nq = 1"),
-    ("poschl_teller_pt", "poschl_teller_pt", "v0 = 4\nq = 0.5"),
-    ("poschl_teller-imaginary", "poschl_teller", "v0 = 2i\nq = 0.7i"),
+    ("morse_general", "morse_general", "v1 = 25\nv2 = 50", ""),
+    ("morse_nonpt", "morse_nonpt", "d = 9\np = 2", ""),
+    ("morse_pt1", "morse_pt1", "v1 = 16\nv2 = 12", ""),
+    ("morse_pt2", "morse_pt2", "omega = 2\nd = 3", ""),
+    ("poschl_teller", "poschl_teller", "v0 = 6\nq = 1", ""),
+    ("poschl_teller_pt", "poschl_teller_pt", "v0 = 4\nq = 0.5", ""),
+    ("poschl_teller-imaginary", "poschl_teller", "v0 = 2i\nq = 0.7i", ""),
+    ("morse_general-units", "morse_general", "v1 = 25\nv2 = 50", UNITS),
+    ("poschl_teller-units", "poschl_teller", "v0 = 6\nq = 1", UNITS),
 ]
 RESIDUAL_POINTS = 201
 SAMPLE_POINTS = 17
@@ -47,11 +55,13 @@ def _error(exc: SusyhierError) -> str:
 
 def render(workdir: Path) -> str:
     out = []
-    for label, family, params in FAMILIES:
+    for label, family, params, units_section in FAMILIES:
         path = workdir / f"{label}.ini"
         path.write_text(f"[model]\nfamily = {family}\n{params}\n\n"
-                        "[run]\nn_max = 3\nl_max = 1\n", encoding="utf-8")
-        model = load_config(str(path)).model
+                        f"[run]\nn_max = 3\nl_max = 1\n{units_section}",
+                        encoding="utf-8")
+        cfg = load_config(str(path))
+        model, units = cfg.model, cfg.units
         grid = Grid(*model.window, RESIDUAL_POINTS)
         for mode in Mode:
             token = mode.value.replace("_", "-")
@@ -62,13 +72,13 @@ def render(workdir: Path) -> str:
                     "-- stdout", stdout.getvalue().rstrip("\n"),
                     "-- stderr", stderr.getvalue().rstrip("\n")]
             try:
-                e0 = repr([lv.e0 for lv in hierarchy(model, 2, mode)])
+                e0 = repr([lv.e0 for lv in hierarchy(model, 2, mode, units)])
             except SusyhierError as exc:
                 e0 = _error(exc)
             out += [f"== hierarchy {label} {token} l_max=2", e0]
             for l in range(3):
                 try:
-                    rep = riccati_residual(model, l, grid, mode=mode)
+                    rep = riccati_residual(model, l, grid, mode=mode, units=units)
                     line = f"{rep.e0!r},{rep.max_abs_residual!r},{rep.argmax_x!r}"
                 except SusyhierError as exc:
                     line = _error(exc)
@@ -80,7 +90,7 @@ def render(workdir: Path) -> str:
             token = mode.value.replace("_", "-")
             for l in depths:
                 try:
-                    line = repr(groundstate_wavefunction(model, l, samples,
+                    line = repr(groundstate_wavefunction(model, l, samples, units,
                                                          mode=mode).values.tolist())
                 except SusyhierError as exc:
                     line = _error(exc)
