@@ -77,10 +77,8 @@ class SelfConsistentSolution(TwoTermAnsatz):
     kinetic: float = 1.0
 
     formula = SpectrumFormula.SELF_CONSISTENT
-
-    @property
-    def w_scale(self) -> float:
-        return math.sqrt(self.kinetic)
+    # E = -kinetic (a - (n + l) rate)^2: level n of depth l is the ground level of depth l + n
+    level_step = 1
 
     def a_level(self, l: int) -> complex:
         """Level shift a_l = a - l * rate."""
@@ -88,11 +86,6 @@ class SelfConsistentSolution(TwoTermAnsatz):
 
     def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
         return self.b, self.a_level(l)
-
-    def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
-        """E = -kinetic (a - (n + l) rate)^2, a bound state while its shift keeps Re > 0."""
-        a = self.a_level(n + l)
-        return _scaled(-a * a, self.kinetic), a.real > 0.0
 
     def partner(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         """W_l^2 - sqrt(kinetic) W_l' + E0_l expanded in closed form (constants cancel)."""

@@ -11,9 +11,10 @@ token, parameter kinds (the field annotations; a field with a default is
 optional), default window, rate, formulas, admissibility, pole check and
 ground state.  Callers ask the instance for those facts through its methods.
 The exponential wells state V and their literal ansatz once each, and
-`TwoTermAnsatz` and `_Exponential` derive V, W and the ground state from them.
-The rational wells state V and their kernel term once each, and `_Rational`
-derives W, the partner and the ground state from the term.
+`TwoTermAnsatz` and `_Exponential` derive V, W, the ground state and the
+levels E_{n,l} = -A_{l+n/2}^2 (bound while Re A > 0) from them.  The rational
+wells state V and their kernel term once each, and `_Rational` derives W, the
+partner and the ground state from the term.
 """
 from __future__ import annotations
 
@@ -92,11 +93,22 @@ class TwoTermAnsatz:
     """Superpotential W_l = w_scale (-B e^{-rate x} + A_l) with (B, A_l) = ansatz(l, units).
 
     A subclass sets `rate` (a Python float when real, so e^{-rate x} is numpy's
-    real exp) and `ansatz`; the families keep w_scale = 1.  The ground state
-    solves (w_scale d/dx + W_l) psi = 0: psi = exp[-(B/rate) e^{-rate x} - A_l x].
+    real exp), `ansatz` and `level_step`; the families keep kinetic = 1.  The
+    ground state solves (w_scale d/dx + W_l) psi = 0: psi = exp[-(B/rate)
+    e^{-rate x} - A_l x].  Level n of depth l is the ground level of depth
+    l + level_step n further down the ladder.
     """
 
-    w_scale = 1.0
+    kinetic = 1.0
+
+    @property
+    def w_scale(self) -> float:
+        return math.sqrt(self.kinetic)
+
+    def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
+        """E = -kinetic A^2 for A = A_{l + level_step n}, a bound state iff Re A > 0."""
+        a = self.ansatz(l + self.level_step * n, units)[1]
+        return _scaled(-a * a, self.kinetic), a.real > 0.0
 
     def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         b, a_l = self.ansatz(l, units)
@@ -143,6 +155,9 @@ class _Family:
 class _Exponential(TwoTermAnsatz, _Family):
     """A two-term exponential well V = c2 u^2 + c1 u with u = e^{-rate x}."""
 
+    # the printed spectra reach level n at depth l + n/2: E(n, l) = E(n - 2, l + 1)
+    level_step = 0.5
+
     def evaluate(self, x):
         import numpy as np
         c2, c1, rate = self.exponential_coefficients()
@@ -184,12 +199,6 @@ class MorseGeneral(_Exponential):
             raise InvalidModelError("v1 must be nonzero for the two-term exponential ansatz")
         return lam, self.v2 / self.v1
 
-    def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
-        """A bound state iff Re(lam q) - (2l + n + 1)/2 > 0."""
-        lam, q = self._lam_q(units)
-        return (energy_morse_general(lam, q, n, l),
-                (lam * q).real - (2 * l + n + 1) / 2.0 > 0.0)
-
     def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
         lam, q = self._lam_q(units)
         return lam, lam * q - (2 * l + 1) / 2.0
@@ -200,18 +209,8 @@ class MorseGeneral(_Exponential):
                        (lam * lam, 2), (-lam * lam * q + 2 * l * lam, 1))
 
 
-class _MorseComplex(_Exponential):
-    """Level and admissibility shared by the two families on E = -(lam - (n+2l+1)/2)^2."""
-
-    formula = SpectrumFormula.MORSE_COMPLEX
-
-    def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
-        lam = self.lam(units)
-        return energy_morse_complex(lam, n, l), lam.real - (n + 2 * l + 1) / 2.0 > 0.0
-
-
 @dataclass(frozen=True)
-class MorseNonPT(_MorseComplex):
+class MorseNonPT(_Exponential):
     """V(x) = -d [e^{-2x} + i p e^{-x}]; complex-valued, not PT-symmetric.
 
     From the paper's (a, b, c) with a + i b = i omega: d = omega^2 and
@@ -222,6 +221,7 @@ class MorseNonPT(_MorseComplex):
     p: float
 
     token = "morse_nonpt"
+    formula = SpectrumFormula.MORSE_COMPLEX
     window = (-3.0, 30.0)
     rate = 1.0
 
@@ -242,13 +242,14 @@ class MorseNonPT(_MorseComplex):
 
 
 @dataclass(frozen=True)
-class MorsePT1(_MorseComplex):
+class MorsePT1(_Exponential):
     """Two-term exponential with unit imaginary rate: V = V1 e^{-2ix} - V2 e^{-ix}."""
 
     v1: complex
     v2: complex
 
     token = "morse_pt1"
+    formula = SpectrumFormula.MORSE_COMPLEX
     window = (-20.0, 20.0)
     rate = 1j
 
@@ -299,11 +300,6 @@ class MorsePT2(_Exponential):
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
         return complex(-(self.omega**2)), complex(-self.d), self.rate
 
-    def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
-        """A bound state iff 2l + n + 1 + d/(2 omega) > 0."""
-        return (energy_morse_shifted(self.d, self.omega, n, l),
-                2 * l + n + 1 + self.d / (2.0 * self.omega) > 0.0)
-
     def ansatz(self, l: int, units: UnitSystem) -> tuple[complex, complex]:
         return 1.0, 2 * l + 1 + self.d / (2.0 * self.omega)
 
@@ -336,17 +332,14 @@ class _Rational(_Family):
     def level(self, n: int, l: int, units: UnitSystem) -> tuple[complex, bool]:
         """A bound state iff |bracket| strictly decreases step by step up to n.
 
-        The bracket is symmetric under (n+l+1) <-> 2/(beta (n+l+1)); the
-        mirror level duplicates an energy and is flagged inadmissible here.
+        f(M) = 1/M - M beta/2 decreases, so the step |f(M)| < |f(M-1)| is
+        f(M) + f(M-1) > 0, a sum that decreases too: the last step decides
+        (and near a tie the float sum is exact).  The mirror level of
+        M <-> 2/(beta M) duplicates an energy and is flagged inadmissible.
         """
-        energy, beta = energy_poschl_teller(self.q, units, n, l), units.beta
-        prev = abs(_pt_bracket(0, l, beta))
-        for m in range(1, n + 1):
-            cur = abs(_pt_bracket(m, l, beta))
-            if not cur < prev:
-                return energy, False
-            prev = cur
-        return energy, True
+        beta = units.beta
+        return (energy_poschl_teller(self.q, units, n, l),
+                n == 0 or _pt_bracket(n, l, beta) + _pt_bracket(n - 1, l, beta) > 0.0)
 
     def superpotential(self, l: int, units: UnitSystem) -> SuperpotentialExpr:
         c, k, p = self._term()
