@@ -11,8 +11,11 @@ units)` is the one place that picks it:
   families);
 * self-consistent mode is a `SelfConsistentSolution`, the two-term
   exponential superpotential determined by coefficient matching, which
-  satisfies the identity by construction; its W and ground state come from
-  the same `TwoTermAnsatz` code as the exponential families'.
+  satisfies the identity by construction; its W, ground state and levels
+  come from the same `TwoTermAnsatz` code as the exponential families'.
+  Its level n of depth l is the ground level of depth l + n,
+  E_{n,l} = -kinetic a_{l+n}^2 (bound while Re a_{l+n} > 0), where the
+  printed spectra reach depth l + n/2.
 """
 from __future__ import annotations
 

@@ -14,7 +14,10 @@ The exponential wells state V and their literal ansatz once each, and
 `TwoTermAnsatz` and `_Exponential` derive V, W, the ground state and the
 levels E_{n,l} = -A_{l+n/2}^2 (bound while Re A > 0) from them.  The rational
 wells state V and their kernel term once each, and `_Rational` derives W, the
-partner and the ground state from the term.
+partner and the ground state from the term; a rational level
+E_{n,l} ~ -f(n+l+1)^2 with f(M) = 1/M - M beta/2 is bound iff n = 0 or
+f(n+l+1) + f(n+l) > 0.  The `energy_*` functions state the printed formulas
+on their own, as the reference the levels are tested against.
 """
 from __future__ import annotations
 

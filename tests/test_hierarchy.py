@@ -226,6 +226,38 @@ def test_morse_general_translation(v1, v2, alpha, s, mode):
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-10
 
 
+def _self_consistent_levels(model, units):
+    lad = ladder(model, Mode.SELF_CONSISTENT, units)
+    return [lad.level(n, l, units) for l in range(4) for n in range(12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.floats(0.5, 16.0), p=st.floats(-3.0, 3.0), units=_BOUNDED_UNITS)
+def test_morse_nonpt_line_shift(d, p, units):
+    """V(x + i pi/2) of MorseNonPT(d, p) is MorseGeneral(d, d p): in self-consistent
+    mode the same levels and flags, exactly.  d > 0 here: for d < 0 the two
+    matches take opposite square-root branches, and the levels come out as
+    complex conjugates."""
+    assert (_self_consistent_levels(MorseNonPT(d, p), units)
+            == _self_consistent_levels(MorseGeneral(d, d * p), units))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v1=_modulus(4.0, 25.0), v2=_modulus(0.0, 25.0), alpha=st.floats(0.25, 4.0),
+       units=_BOUNDED_UNITS)
+def test_morse_general_rate_scaling(v1, v2, alpha, units):
+    """x -> x / alpha: MorseGeneral(v1, v2, alpha) has alpha^2 times the
+    self-consistent levels of MorseGeneral(v1 / alpha^2, v2 / alpha^2, 1), to
+    1e-14 of 1 + |E|, with the same admissibility flags."""
+    levels = _self_consistent_levels(MorseGeneral(v1, v2, alpha), units)
+    unit_rate = _self_consistent_levels(MorseGeneral(v1 / alpha**2, v2 / alpha**2, 1.0), units)
+    for (e, ok), (unit_e, unit_ok) in zip(levels, unit_rate):
+        assert abs(alpha**2 * unit_e - e) <= 1e-14 * (1.0 + abs(e))
+        # as in the translation test: a flag whose Re b is within roundoff of 0 may flip
+        if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
+            assert unit_ok == ok
+
+
 # ---------------------------------------------------------------------------
 # published superpotentials and partners
 # ---------------------------------------------------------------------------

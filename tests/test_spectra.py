@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from susyhier import (
@@ -29,6 +30,7 @@ from susyhier import (
     energy_poschl_teller,
     energy_record,
     groundstate_wavefunction,
+    ladder,
     spectrum_records,
 )
 
@@ -74,6 +76,81 @@ def test_degeneracy_along_n_plus_shift():
     assert energy_morse_complex(4.0, 2, 0) == energy_morse_complex(4.0, 0, 1)
     assert energy_morse_shifted(3.0, 2.0, 2, 0) == energy_morse_shifted(3.0, 2.0, 0, 1)
     assert energy_poschl_teller(1.0, ATOMIC, 1, 0) == energy_poschl_teller(1.0, ATOMIC, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# each family's level against its printed formula
+# ---------------------------------------------------------------------------
+
+def _complex(lo: float, hi: float):
+    return st.builds(complex, st.floats(lo, hi), st.floats(lo, hi))
+
+
+# nonzero leading coefficients, so that every exponential well has a self-consistent ladder
+_NONZERO = st.floats(0.25, 30.0) | st.floats(-30.0, -0.25)
+_FAMILIES = st.one_of(
+    st.builds(MorseGeneral, _complex(-30.0, 30.0).filter(lambda z: z != 0), _complex(-60.0, 60.0),
+              st.floats(0.1, 4.0)),
+    st.builds(MorseNonPT, _NONZERO, st.floats(-10.0, 10.0)),
+    st.builds(MorsePT1, _complex(-30.0, 30.0).filter(lambda z: z != 0), _complex(-30.0, 30.0)),
+    st.builds(MorsePT2, _NONZERO, st.floats(-60.0, 60.0), st.floats(0.1, 4.0)),
+    st.builds(PoschlTeller, _complex(-30.0, 30.0), _complex(-5.0, 5.0), st.floats(0.1, 4.0)),
+    st.builds(PoschlTellerPT, st.floats(-30.0, 30.0), st.floats(-5.0, 5.0), st.floats(0.1, 4.0)),
+)
+# beta = 2 / (M (M - 1)) puts a rational bracket's step from M - 1 to M on a tie
+_TIE_UNITS = st.builds(lambda m: UnitSystem(1.0, m * (m - 1) / 2.0, 1.0), st.integers(2, 45))
+_ANY_UNITS = (st.just(DEFAULT_UNITS) | _TIE_UNITS
+              | st.builds(UnitSystem, st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+                          st.floats(0.1, 10.0)))
+
+
+def _printed(model, n, l, units):
+    """The family's printed level and the admissibility rule it was stated with:
+    the bracket's real part is positive, or (rational wells) the bracket's
+    modulus falls at every step from 0 to n."""
+    if isinstance(model, MorseGeneral):
+        lam, q = model._lam_q(units)
+        return (energy_morse_general(lam, q, n, l),
+                (lam * q).real - (2 * l + n + 1) / 2.0 > 0.0)
+    if isinstance(model, (MorseNonPT, MorsePT1)):
+        lam = model.lam(units)
+        return energy_morse_complex(lam, n, l), lam.real - (n + 2 * l + 1) / 2.0 > 0.0
+    if isinstance(model, MorsePT2):
+        return (energy_morse_shifted(model.d, model.omega, n, l),
+                2 * l + n + 1 + model.d / (2.0 * model.omega) > 0.0)
+    brackets = [abs(1.0 / (m + l + 1) - (m + l + 1) * units.beta / 2.0) for m in range(n + 1)]
+    return (energy_poschl_teller(model.q, units, n, l),
+            all(cur < prev for prev, cur in zip(brackets, brackets[1:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_FAMILIES, units=_ANY_UNITS)
+def test_level_is_the_printed_formula(model, units):
+    """Every literal level has the printed formula's bits and the printed rule's flag."""
+    for l in range(5):
+        for n in range(41):
+            e, ok = model.level(n, l, units)
+            printed_e, printed_ok = _printed(model, n, l, units)
+            assert (repr(e), ok) == (repr(printed_e), printed_ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_FAMILIES, units=_ANY_UNITS)
+def test_level_degeneracy_along_the_ladder(model, units):
+    """Level n of depth l is a ground level further down, bit for bit: depth
+    l + n/2 on the literal exponential ladders (flag included), depth l + n on
+    the self-consistent and the rational ladders (energy only: a rational
+    level's flag depends on the steps before it)."""
+    # (ladder, levels n falls by per depth, how much of (E, flag) must agree)
+    if isinstance(model, (PoschlTeller, PoschlTellerPT)):
+        cases = [(model, 1, 1)]
+    else:
+        cases = [(model, 2, 2), (ladder(model, Mode.SELF_CONSISTENT, units), 1, 1)]
+    for lad, step, keep in cases:
+        for l in range(4):
+            for n in range(step, 30):
+                deeper = lad.level(n - step, l + 1, units)
+                assert repr(lad.level(n, l, units)[:keep]) == repr(deeper[:keep])
 
 
 # ---------------------------------------------------------------------------
