@@ -138,14 +138,15 @@ def test_level_is_the_printed_formula(model, units):
 @given(model=_FAMILIES, units=_ANY_UNITS)
 def test_level_degeneracy_along_the_ladder(model, units):
     """Level n of depth l is a ground level further down, bit for bit: depth
-    l + n/2 on the literal exponential ladders (flag included), depth l + n on
-    the self-consistent and the rational ladders (energy only: a rational
-    level's flag depends on the steps before it)."""
+    l + n/2 on the literal exponential ladders and depth l + n on the
+    self-consistent ones, flag included, and depth l + n on the rational
+    ladders, energy only (a rational level's flag depends on the steps
+    before it)."""
     # (ladder, levels n falls by per depth, how much of (E, flag) must agree)
     if isinstance(model, (PoschlTeller, PoschlTellerPT)):
         cases = [(model, 1, 1)]
     else:
-        cases = [(model, 2, 2), (ladder(model, Mode.SELF_CONSISTENT, units), 1, 1)]
+        cases = [(model, 2, 2), (ladder(model, Mode.SELF_CONSISTENT, units), 1, 2)]
     for lad, step, keep in cases:
         for l in range(4):
             for n in range(step, 30):
