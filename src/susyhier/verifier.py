@@ -16,19 +16,20 @@ to scipy; eigenvectors always come from scipy.  Where the lookup is the
 first to load the file (a `verify` before any `import scipy`), the file's
 idle worker threads spin 2**OPENBLAS_THREAD_TIMEOUT cycles before they
 sleep, not OpenBLAS's 2**28, on the same thread count; a value of that
-variable the user set wins.  Every single-grid solve goes through
-`eigen_spectrum`.  The reality scan needs only the states below the
-continuum: `_states_below` finds a superset of them with scipy's Arnoldi
-solver, or with `eigen_spectrum` where Arnoldi cannot certify the set, and
-`bound_states` alone applies the continuum rule.  The Arnoldi solve runs
-with scipy's OpenBLAS on one thread and numpy's at its own count, and
-Arnoldi solves on other threads wait their turn (`_one_blas_thread`).  It
-stops at the accuracy the scan's verdict needs: ARPACK's tolerance is
-tol_imag / 100 over the radius of the certification circle (at most
-ARNOLDI_MAX_TOL), which bounds the error of every eigenvalue inside the
-circle by tol_imag / 100 times its condition number, so the hundredfold
-margin covers condition numbers up to 100; for k pairs its Krylov basis
-holds 2k + 1 vectors.
+variable the user set wins.  Every full or index-cut solve goes through
+`eigen_spectrum`, which alone orders an FD spectrum; the reality scan's
+targeted solve `_states_below` does not.  It finds a superset of the
+states below the continuum in a value window of the tridiagonal solver,
+with scipy's Arnoldi solver, or with `eigen_spectrum` where Arnoldi cannot
+certify the set, and `bound_states` alone applies the continuum rule.  The
+Arnoldi solve runs with scipy's OpenBLAS on one thread and numpy's at its
+own count, and Arnoldi solves on other threads wait their turn
+(`_one_blas_thread`).  It stops at the accuracy the scan's verdict needs:
+ARPACK's tolerance is tol_imag / 100 over the radius of the certification
+circle (at most ARNOLDI_MAX_TOL), which bounds the error of every
+eigenvalue inside the circle by tol_imag / 100 times its condition number,
+so the hundredfold margin covers condition numbers up to 100; for k pairs
+its Krylov basis holds 2k + 1 vectors.
 """
 from __future__ import annotations
 
@@ -134,7 +135,8 @@ def build_hamiltonian(model: PotentialModel, grid: Grid,
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Eigenvalues sorted by (Re, Im), except `_states_below`'s; eigenvectors align."""
+    """Eigenvalues sorted by (Re, Im), each conjugate pair whose real parts tie
+    to roundoff Im < 0 first, except `_states_below`'s; eigenvectors align."""
 
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray]
@@ -367,38 +369,6 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
     return eigen_spectrum(ham, n)
 
 
-@_converges
-def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
-                   vectors: bool = True) -> NumericSpectrum:
-    """The k lowest eigenpairs by (Re, Im) of a single discretization.
-
-    With vectors=False only the eigenvalues are computed and `eigenvectors`
-    is None; a complex H then goes straight to zhseqr (`_hessenberg_eigvals`):
-    zgeev's balancing and Hessenberg reduction leave a tridiagonal H
-    unchanged, so the values are eigvals' bit for bit.
-    """
-    if k < 1:
-        raise InvalidModelError("k must be positive")
-    k = min(k, ham.dimension)
-    if ham.is_real:
-        d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
-        if vectors:
-            from scipy.linalg import eigh_tridiagonal
-            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-        else:
-            vals, vecs = _eigh_tridiagonal(d, e, k), None
-    elif vectors:
-        from scipy.linalg import eig
-        vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
-    else:
-        vals, vecs = _hessenberg_eigvals(ham), None
-    # the tridiagonal solvers return their k values ascending
-    order = slice(k) if ham.is_real else np.lexsort((vals.imag, vals.real))[:k]
-    vecs = None if vecs is None else vecs[:, order].astype(complex, copy=False)
-    return NumericSpectrum(eigenvalues=vals[order].astype(complex, copy=False),
-                           eigenvectors=vecs, grid=ham.grid)
-
-
 def _conjugates_first(vals: np.ndarray) -> np.ndarray:
     """Index order of (Re, Im)-sorted levels that puts the Im < 0 partner first
     in every adjacent conjugate pair whose real parts tie to roundoff."""
@@ -415,14 +385,43 @@ def _conjugates_first(vals: np.ndarray) -> np.ndarray:
     return order
 
 
-def _richardson_levels(ham: DiscretizedHamiltonian, k: int) -> np.ndarray:
-    """The k lowest eigenvalues of one grid, tied conjugate pairs Im < 0 first.
+@_converges
+def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
+                   vectors: bool = True) -> NumericSpectrum:
+    """The k lowest eigenpairs by (Re, Im) of a single discretization.
 
-    A complex well's solve looks one level past k, so that a pair which the
-    cut splits is ordered too; the dense solver computes every level anyway.
+    A complex H puts each conjugate pair whose real parts tie to roundoff
+    (CONJUGATE_TIE_RTOL) Im < 0 first, ordered over one level past k so
+    that a pair the cut splits gives its Im < 0 member; each eigenvector
+    moves with its value.  With vectors=False only the eigenvalues are
+    computed and `eigenvectors` is None; a complex H then goes straight to
+    zhseqr (`_hessenberg_eigvals`): zgeev's balancing and Hessenberg
+    reduction leave a tridiagonal H unchanged, so the values are eigvals'
+    bit for bit.
     """
-    vals = eigen_spectrum(ham, k if ham.is_real else k + 1, vectors=False).eigenvalues
-    return vals[_conjugates_first(vals)[:k]]
+    if k < 1:
+        raise InvalidModelError("k must be positive")
+    k = min(k, ham.dimension)
+    if ham.is_real:
+        d, e = ham.diagonal.real, np.full(ham.dimension - 1, ham.off_diagonal)
+        if vectors:
+            from scipy.linalg import eigh_tridiagonal
+            vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        else:
+            vals, vecs = _eigh_tridiagonal(d, e, k), None
+    elif vectors:
+        from scipy.linalg import eig
+        vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
+    else:
+        vals, vecs = _hessenberg_eigvals(ham), None
+    if ham.is_real:
+        order = slice(k)  # the tridiagonal solvers return their k values ascending
+    else:
+        order = np.lexsort((vals.imag, vals.real))[:k + 1]
+        order = order[_conjugates_first(vals[order])][:k]
+    vecs = None if vecs is None else vecs[:, order].astype(complex, copy=False)
+    return NumericSpectrum(eigenvalues=vals[order].astype(complex, copy=False),
+                           eigenvectors=vecs, grid=ham.grid)
 
 
 def converged_spectrum(model: PotentialModel, grid: Grid, k: int,
@@ -431,15 +430,14 @@ def converged_spectrum(model: PotentialModel, grid: Grid, k: int,
     """Solve at h and h/2, certify |E(h) - E(h/2)| < tol_abs/2, extrapolate.
 
     The returned eigenvalues are the O(h^4) Richardson combination
-    (4 E_{h/2} - E_h)/3 of the levels with the same index on both grids.
-    Within a conjugate pair whose real parts tie to roundoff, the (Re, Im)
-    order is roundoff too, so on each grid such a pair is put with its
-    Im < 0 partner first, and E is never combined with the other grid's E*.
-    Neither grid computes eigenvectors, so `eigenvectors` is None.
+    (4 E_{h/2} - E_h)/3 of the levels with the same index on both grids,
+    each grid's k levels in `eigen_spectrum`'s order, so E is never combined
+    with the other grid's E*.  Neither grid computes eigenvectors, so
+    `eigenvectors` is None.
     """
-    coarse = _richardson_levels(build_hamiltonian(model, grid, units), k)
     fine_grid = grid.refined()
-    fine = _richardson_levels(build_hamiltonian(model, fine_grid, units), k)
+    hams = (build_hamiltonian(model, g, units) for g in (grid, fine_grid))
+    coarse, fine = (eigen_spectrum(ham, k, vectors=False).eigenvalues for ham in hams)
     n = min(len(coarse), len(fine))
     deltas = np.abs(coarse[:n] - fine[:n])
     delta = float(deltas.max()) if n else float("nan")

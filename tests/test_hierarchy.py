@@ -196,6 +196,11 @@ def test_groundstate_log_derivative_is_minus_w(model, mode, l, units):
 # identities between families
 # ---------------------------------------------------------------------------
 
+def _assert_constant_ratio(psi, other):
+    ratio = psi / other
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-10
+
+
 @settings(max_examples=300, deadline=None)
 @given(v1=_modulus(4.0, 25.0), v2=_modulus(0.0, 25.0), alpha=st.floats(0.7, 2.0),
        s=st.floats(-1.0, 1.0), mode=st.sampled_from(list(Mode)))
@@ -221,9 +226,8 @@ def test_morse_general_translation(v1, v2, alpha, s, mode):
             w = lad.superpotential(l, DEFAULT_UNITS).evaluate(x + s)
             moved_w = moved_lad.superpotential(l, DEFAULT_UNITS).evaluate(x)
             assert np.max(np.abs(moved_w - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
-            ratio = (lad.groundstate(l, x + s, DEFAULT_UNITS)
-                     / moved_lad.groundstate(l, x, DEFAULT_UNITS))
-            assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-10
+            _assert_constant_ratio(lad.groundstate(l, x + s, DEFAULT_UNITS),
+                                   moved_lad.groundstate(l, x, DEFAULT_UNITS))
 
 
 def _self_consistent_levels(model, units):
@@ -237,9 +241,21 @@ def test_morse_nonpt_line_shift(d, p, units):
     """V(x + i pi/2) of MorseNonPT(d, p) is MorseGeneral(d, d p): in self-consistent
     mode the same levels and flags, exactly.  d > 0 here: for d < 0 the two
     matches take opposite square-root branches, and the levels come out as
-    complex conjugates."""
-    assert (_self_consistent_levels(MorseNonPT(d, p), units)
-            == _self_consistent_levels(MorseGeneral(d, d * p), units))
+    complex conjugates.  W_l keeps its constant term, and its e^{-x}
+    coefficient times e^{-i pi/2} is MorseGeneral's; psi0(x + i pi/2) is
+    MorseGeneral's psi0(x) up to a constant factor."""
+    well, line = MorseNonPT(d, p), MorseGeneral(d, d * p)
+    assert _self_consistent_levels(well, units) == _self_consistent_levels(line, units)
+    lad, line_lad = (ladder(m, Mode.SELF_CONSISTENT, units) for m in (well, line))
+    x = np.array([-0.5, 0.0, 0.5, 1.0])
+    for l in range(3):
+        w, line_w = lad.superpotential(l, units), line_lad.superpotential(l, units)
+        assert abs(w.constant - line_w.constant) <= 1e-12 * (1.0 + abs(line_w.constant))
+        # e^{-(x + i pi/2)} = e^{-i pi/2} e^{-x}, and e^{-i pi/2} = -i
+        shifted = -1j * w.coefficient(1)
+        assert abs(shifted - line_w.coefficient(1)) <= 1e-12 * (1.0 + abs(line_w.coefficient(1)))
+        _assert_constant_ratio(lad.groundstate(l, x + 0.5j * math.pi, units),
+                               line_lad.groundstate(l, x, units))
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,14 +264,40 @@ def test_morse_nonpt_line_shift(d, p, units):
 def test_morse_general_rate_scaling(v1, v2, alpha, units):
     """x -> x / alpha: MorseGeneral(v1, v2, alpha) has alpha^2 times the
     self-consistent levels of MorseGeneral(v1 / alpha^2, v2 / alpha^2, 1), to
-    1e-14 of 1 + |E|, with the same admissibility flags."""
-    levels = _self_consistent_levels(MorseGeneral(v1, v2, alpha), units)
-    unit_rate = _self_consistent_levels(MorseGeneral(v1 / alpha**2, v2 / alpha**2, 1.0), units)
+    1e-14 of 1 + |E|, with the same admissibility flags; its W_l(x) is alpha
+    times that well's W_l(alpha x), and its psi0(x) that well's psi0(alpha x)
+    up to a constant factor."""
+    well, unit_well = MorseGeneral(v1, v2, alpha), MorseGeneral(v1 / alpha**2, v2 / alpha**2, 1.0)
+    levels = _self_consistent_levels(well, units)
+    unit_rate = _self_consistent_levels(unit_well, units)
     for (e, ok), (unit_e, unit_ok) in zip(levels, unit_rate):
         assert abs(alpha**2 * unit_e - e) <= 1e-14 * (1.0 + abs(e))
         # as in the translation test: a flag whose Re b is within roundoff of 0 may flip
         if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
             assert unit_ok == ok
+    lad, unit_lad = (ladder(m, Mode.SELF_CONSISTENT, units) for m in (well, unit_well))
+    x = np.array([-0.5, 0.0, 0.5, 1.0]) / alpha
+    for l in range(3):
+        w = lad.superpotential(l, units).evaluate(x)
+        unit_w = alpha * unit_lad.superpotential(l, units).evaluate(alpha * x)
+        assert np.max(np.abs(unit_w - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+        _assert_constant_ratio(lad.groundstate(l, x, units),
+                               unit_lad.groundstate(l, alpha * x, units))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.builds(lambda s, d: s * d, _SIGN, st.floats(0.5, 16.0)), p=st.floats(-3.0, 3.0),
+       s=st.floats(-1.0, 1.0), units=_BOUNDED_UNITS)
+def test_morse_nonpt_translation(d, p, s, units):
+    """V(x + s) of MorseNonPT(d, p) is MorseNonPT(d e^{-2s}, p e^{s}): in
+    self-consistent mode the same levels and admissibility flags."""
+    levels = _self_consistent_levels(MorseNonPT(d, p), units)
+    moved = _self_consistent_levels(MorseNonPT(d * math.exp(-2.0 * s), p * math.exp(s)), units)
+    for (e, ok), (moved_e, moved_ok) in zip(levels, moved):
+        assert abs(moved_e - e) <= 1e-12 * (1.0 + abs(e))
+        # as in the translation test: a flag whose Re b is within roundoff of 0 may flip
+        if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
+            assert moved_ok == ok
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,15 @@ def test_eigen_spectrum_validation_and_clamping():
 def test_complex_eigenvalues_sorted_by_real_then_imag():
     grid = symmetric_grid(8.0, 301)
     ham = build_hamiltonian(MorsePT2(2.0, 3.0, 1.0), grid)
-    spec = eigen_spectrum(ham, ham.dimension)
-    keys = [(e.real, e.imag) for e in spec.eigenvalues]
-    assert keys == sorted(keys)
+    vals = eigen_spectrum(ham, ham.dimension).eigenvalues
+    tol = verifier_mod.CONJUGATE_TIE_RTOL
+    tied = {i for i, (a, b) in enumerate(zip(vals, vals[1:]))
+            if a.imag != 0 and abs(b - np.conj(a)) <= tol * max(1.0, abs(a))}
+    # (Re, Im) ascending, except that a conjugate pair whose real parts tie to
+    # roundoff comes Im < 0 first
+    assert tied and all(vals[i].imag < 0 for i in tied)
+    keys = [(e.real, e.imag) for e in vals]
+    assert all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1) if i not in tied)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +530,10 @@ def test_targeted_bound_states_within_scan_accuracy_on_scan_lattices(v0, q_im):
     # the benchmark's seeded lattices): Re V0 in [6, 12.5], Im q in [0, 1.08]
     ham = build_hamiltonian(PoschlTeller(v0, complex(1.0, q_im)), SCAN_GRID)
     targeted = targeted_bound_levels(ham)
-    dense = bound_states(eigen_spectrum(ham, ham.dimension)).eigenvalues
+    # the dense reference runs on one BLAS thread: beside a busy core, a
+    # two-thread solve waits for the second thread many times over
+    with verifier_mod._one_blas_thread():
+        dense = bound_states(eigen_spectrum(ham, ham.dimension)).eigenvalues
     assert len(targeted) == len(dense) > 0
     tol_imag = SCAN_LATTICE.tol_imag
     assert (np.abs(targeted.imag).max() < tol_imag) == (np.abs(dense.imag).max() < tol_imag)
