@@ -369,19 +369,26 @@ def _states_below(ham: DiscretizedHamiltonian, accuracy: float) -> NumericSpectr
     return eigen_spectrum(ham, n)
 
 
+def _conjugate_pairs(vals: np.ndarray) -> list[int]:
+    """The first index of each conjugate pair among (Re, Im)-sorted levels:
+    adjacent levels within t = CONJUGATE_TIE_RTOL max(1, |E|) of each other's
+    conjugate and farther than t from the real axis, so that their real parts
+    tie to roundoff; read from the lowest level up, a level joins one pair at most."""
+    starts = []
+    for i, (a, b) in enumerate(zip(vals, vals[1:])):
+        t = CONJUGATE_TIE_RTOL * max(1.0, abs(a))
+        if ((not starts or starts[-1] < i - 1)
+                and abs(b - np.conj(a)) <= t < min(abs(a.imag), abs(b.imag))):
+            starts.append(i)
+    return starts
+
+
 def _conjugates_first(vals: np.ndarray) -> np.ndarray:
-    """Index order of (Re, Im)-sorted levels that puts the Im < 0 partner first
-    in every adjacent conjugate pair whose real parts tie to roundoff."""
+    """Index order of (Re, Im)-sorted levels with each conjugate pair Im < 0 first."""
     order = np.arange(len(vals))
-    i = 0
-    while i + 1 < len(vals):
-        a, b = vals[i], vals[i + 1]
-        if abs(b - np.conj(a)) <= CONJUGATE_TIE_RTOL * max(1.0, abs(a)):
-            if a.imag > 0:
-                order[i], order[i + 1] = i + 1, i
-            i += 2
-        else:
-            i += 1
+    for i in _conjugate_pairs(vals):
+        if vals[i].imag > 0:
+            order[i], order[i + 1] = i + 1, i
     return order
 
 
@@ -391,7 +398,7 @@ def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
     """The k lowest eigenpairs by (Re, Im) of a single discretization.
 
     A complex H puts each conjugate pair whose real parts tie to roundoff
-    (CONJUGATE_TIE_RTOL) Im < 0 first, ordered over one level past k so
+    (`_conjugate_pairs`) Im < 0 first, ordered over one level past k so
     that a pair the cut splits gives its Im < 0 member; each eigenvector
     moves with its value.  With vectors=False only the eigenvalues are
     computed and `eigenvectors` is None; a complex H then goes straight to
@@ -447,22 +454,16 @@ def converged_spectrum(model: PotentialModel, grid: Grid, k: int,
 
 
 def bound_states(spectrum: NumericSpectrum) -> NumericSpectrum:
-    """Keep the eigenpairs with Re E below CONTINUUM_EDGE and decaying tails:
-    both wall components of the eigenvector under EDGE_DECAY_RTOL of its peak."""
+    """Keep the eigenpairs whose Re E is not at or above CONTINUUM_EDGE (NaN
+    passes) and whose eigenvector decays: both wall components under
+    EDGE_DECAY_RTOL of its peak (a NaN component fails)."""
     if spectrum.eigenvectors is None:
         raise InvalidModelError("bound-state filtering needs eigenvectors")
-    keep = []
-    for j, e in enumerate(spectrum.eigenvalues):
-        if e.real >= CONTINUUM_EDGE:
-            continue
-        v = spectrum.eigenvectors[:, j]
-        peak = np.abs(v).max()
-        if max(abs(v[0]), abs(v[-1])) < EDGE_DECAY_RTOL * peak:
-            keep.append(j)
-    idx = np.array(keep, dtype=int)
-    return replace(spectrum,
-                   eigenvalues=spectrum.eigenvalues[idx],
-                   eigenvectors=spectrum.eigenvectors[:, idx])
+    size = np.abs(spectrum.eigenvectors)
+    keep = (~(spectrum.eigenvalues.real >= CONTINUUM_EDGE)
+            & (np.maximum(size[0], size[-1]) < EDGE_DECAY_RTOL * size.max(axis=0)))
+    return replace(spectrum, eigenvalues=spectrum.eigenvalues[keep],
+                   eigenvectors=spectrum.eigenvectors[:, keep])
 
 
 def conjugate_pairing_ok(eigenvalues: Sequence[complex], tol: Optional[float] = None) -> bool:
@@ -510,23 +511,27 @@ class ComparisonReport:
 
 
 def _greedy_pairs(records: Sequence[EnergyRecord], numeric: np.ndarray):
-    """Globally greedy nearest-neighbor assignment; independent of input order."""
-    candidates = []
-    for i, r in enumerate(records):
-        for j, e in enumerate(numeric):
-            d = abs(r.energy - e)
-            candidates.append((d, r.energy.real, r.energy.imag, r.nq.l, r.nq.n,
-                               e.real, e.imag, i, j))
-    candidates.sort()
-    taken_r, taken_n = set(), set()
-    assignment = {}
-    for cand in candidates:
-        i, j = cand[7], cand[8]
-        if i in taken_r or j in taken_n:
-            continue
-        taken_r.add(i)
-        taken_n.add(j)
-        assignment[i] = j
+    """Globally greedy nearest-neighbor assignment; independent of input order.
+
+    A conjugate pair's members (`_conjugate_pairs`) are measured at their mean
+    real part and mean |Im|, each in its own sign, so a record equally far
+    from both in exact arithmetic ties exactly and, by the (Re, Im) tie-break,
+    takes the Im < 0 member.
+    """
+    order = np.lexsort((numeric.imag, numeric.real))
+    shared = np.array(numeric, dtype=complex)
+    for i in _conjugate_pairs(numeric[order]):
+        pair = order[i:i + 2]
+        shared.real[pair] = numeric.real[pair].mean()
+        shared.imag[pair] = np.copysign(np.abs(numeric.imag[pair]).mean(), numeric.imag[pair])
+    candidates = sorted((abs(r.energy - s), r.energy.real, r.energy.imag, r.nq.l, r.nq.n,
+                         s.real, s.imag, i, j)
+                        for i, r in enumerate(records) for j, s in enumerate(shared))
+    assignment, taken = {}, set()
+    for *_, i, j in candidates:
+        if i not in assignment and j not in taken:
+            assignment[i] = j
+            taken.add(j)
     return assignment
 
 
@@ -540,7 +545,8 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
     unmatched only if no depth took it.  A structurally Hermitian well
     solves V's levels 0..max(n + l) of the admissible records, which its
     real H gives in ascending order; any other well solves
-    VERIFY_EXTRA_LEVELS more levels than it has admissible records.
+    VERIFY_EXTRA_LEVELS more levels than it has admissible records.  A
+    record as far from both members of a conjugate pair takes the Im < 0 one.
     """
     admissible = [r for r in analytic if r.admissible]
     if not admissible:
@@ -556,9 +562,7 @@ def verify(model: PotentialModel, analytic: Sequence[EnergyRecord], grid: Grid,
         depth = [i for i, r in enumerate(admissible) if r.nq.l == l]
         found = _greedy_pairs([admissible[i] for i in depth], num.eigenvalues)
         assignment.update((depth[i], j) for i, j in found.items())
-    pairs = []
-    matched_n = set()
-    unmatched_a = []
+    pairs, matched_n, unmatched_a = [], set(), []
     for i, r in enumerate(admissible):
         if i in assignment:
             e = complex(num.eigenvalues[assignment[i]])

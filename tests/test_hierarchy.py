@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from susyhier import (
     DEFAULT_UNITS,
@@ -201,6 +202,26 @@ def _assert_constant_ratio(psi, other):
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-10
 
 
+def _assert_translated(well, moved, s, x, units):
+    """In self-consistent mode, moved's W_l(x) is well's W_l(x + s) and its
+    psi0(x) well's psi0(x + s) up to a constant factor, for l = 0, 1, 2."""
+    lad, moved_lad = (ladder(m, Mode.SELF_CONSISTENT, units) for m in (well, moved))
+    for l in range(3):
+        w = lad.superpotential(l, units).evaluate(x + s)
+        moved_w = moved_lad.superpotential(l, units).evaluate(x)
+        assert np.max(np.abs(moved_w - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+        _assert_constant_ratio(lad.groundstate(l, x + s, units),
+                               moved_lad.groundstate(l, x, units))
+
+
+def _assert_same_levels(levels, moved):
+    for (e, ok), (moved_e, moved_ok) in zip(levels, moved):
+        assert abs(moved_e - e) <= 1e-12 * (1.0 + abs(e))
+        # as in the translation test: a flag whose Re b is within roundoff of 0 may flip
+        if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
+            assert moved_ok == ok
+
+
 @settings(max_examples=300, deadline=None)
 @given(v1=_modulus(4.0, 25.0), v2=_modulus(0.0, 25.0), alpha=st.floats(0.7, 2.0),
        s=st.floats(-1.0, 1.0), mode=st.sampled_from(list(Mode)))
@@ -220,14 +241,7 @@ def test_morse_general_translation(v1, v2, alpha, s, mode):
         if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
             assert m.admissible == r.admissible
     if mode is Mode.SELF_CONSISTENT:
-        lad, moved_lad = ladder(well, mode), ladder(moved, mode)
-        x = np.array([-0.5, 0.0, 0.5, 1.0]) / alpha
-        for l in range(3):
-            w = lad.superpotential(l, DEFAULT_UNITS).evaluate(x + s)
-            moved_w = moved_lad.superpotential(l, DEFAULT_UNITS).evaluate(x)
-            assert np.max(np.abs(moved_w - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
-            _assert_constant_ratio(lad.groundstate(l, x + s, DEFAULT_UNITS),
-                                   moved_lad.groundstate(l, x, DEFAULT_UNITS))
+        _assert_translated(well, moved, s, np.array([-0.5, 0.0, 0.5, 1.0]) / alpha, DEFAULT_UNITS)
 
 
 def _self_consistent_levels(model, units):
@@ -290,14 +304,29 @@ def test_morse_general_rate_scaling(v1, v2, alpha, units):
        s=st.floats(-1.0, 1.0), units=_BOUNDED_UNITS)
 def test_morse_nonpt_translation(d, p, s, units):
     """V(x + s) of MorseNonPT(d, p) is MorseNonPT(d e^{-2s}, p e^{s}): in
-    self-consistent mode the same levels and admissibility flags."""
-    levels = _self_consistent_levels(MorseNonPT(d, p), units)
-    moved = _self_consistent_levels(MorseNonPT(d * math.exp(-2.0 * s), p * math.exp(s)), units)
-    for (e, ok), (moved_e, moved_ok) in zip(levels, moved):
-        assert abs(moved_e - e) <= 1e-12 * (1.0 + abs(e))
-        # as in the translation test: a flag whose Re b is within roundoff of 0 may flip
-        if (abs(e) - e.real) / 2.0 > 1e-10 * (1.0 + abs(e)):
-            assert moved_ok == ok
+    self-consistent mode the same levels and admissibility flags, W_l(x + s)
+    and, up to a constant factor, psi0(x + s)."""
+    well, moved = MorseNonPT(d, p), MorseNonPT(d * math.exp(-2.0 * s), p * math.exp(s))
+    _assert_same_levels(_self_consistent_levels(well, units),
+                        _self_consistent_levels(moved, units))
+    _assert_translated(well, moved, s, np.array([-0.5, 0.0, 0.5, 1.0]), units)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.floats(1.0, 25.0), phase=st.floats(-3.0, 3.0), v2=_modulus(0.0, 25.0),
+       s=st.floats(-1.0, 1.0), units=_BOUNDED_UNITS)
+def test_morse_pt1_translation(size, phase, v2, s, units):
+    """V(x + s) of MorsePT1(v1, v2) is MorsePT1(v1 e^{-2is}, v2 e^{-is}): in
+    self-consistent mode the same levels and admissibility flags, W_l(x + s)
+    and, up to a constant factor, psi0(x + s).  Drawn where the phase of v1
+    stays inside (-pi, pi) as it turns by -2s, so that the principal root
+    b = sqrt(v1 / kinetic) turns by e^{-is}, as the map needs."""
+    assume(abs(phase - 2.0 * s) < 3.0)
+    v1 = size * cmath.exp(1j * phase)
+    well, moved = MorsePT1(v1, v2), MorsePT1(v1 * cmath.exp(-2j * s), v2 * cmath.exp(-1j * s))
+    _assert_same_levels(_self_consistent_levels(well, units),
+                        _self_consistent_levels(moved, units))
+    _assert_translated(well, moved, s, np.array([-0.5, 0.0, 0.5, 1.0]), units)
 
 
 # ---------------------------------------------------------------------------

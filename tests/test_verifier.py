@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -170,6 +171,41 @@ def test_bound_states_needs_eigenvectors():
         bound_states(spec)
 
 
+def _bound_columns(eigenvalues, eigenvectors):
+    """The columns bound_states keeps, by a loop over the eigenpairs: the
+    reference for its array form."""
+    keep = []
+    for j, e in enumerate(eigenvalues):
+        if e.real >= verifier_mod.CONTINUUM_EDGE:
+            continue
+        v = eigenvectors[:, j]
+        if max(abs(v[0]), abs(v[-1])) < verifier_mod.EDGE_DECAY_RTOL * np.abs(v).max():
+            keep.append(j)
+    return keep
+
+
+# parts at, around and far from the decay threshold, with NaN and inf
+_PARTS = st.sampled_from([0.0, 1e-7, 1e-6, 0.5, 1.0, -2.0, math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 5), data=st.data())
+def test_bound_states_keeps_the_loops_columns(rows, data):
+    cols = data.draw(st.integers(0, 5))
+    values = data.draw(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=cols,
+                                max_size=cols))
+    entries = data.draw(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=rows * cols,
+                                 max_size=rows * cols))
+    vecs = np.array(entries, dtype=complex).reshape(rows, cols)
+    vals = np.array(values, dtype=complex)
+    # the grid is not read
+    kept = bound_states(NumericSpectrum(eigenvalues=vals, eigenvectors=vecs,
+                                        grid=Grid(0.0, 1.0, 21)))
+    keep = _bound_columns(vals, vecs)
+    assert np.array_equal(kept.eigenvalues, vals[keep], equal_nan=True)
+    assert np.array_equal(kept.eigenvectors, vecs[:, keep], equal_nan=True)
+
+
 def test_conjugate_pairing():
     assert conjugate_pairing_ok([])
     assert conjugate_pairing_ok([-20.0, -16.0])
@@ -304,6 +340,62 @@ def test_pairing_tie_break_is_not_conjugation_equivariant():
     records = [_record(0, 0, 0.0)]
     assert verifier_mod._greedy_pairs(records, np.array([1j, -1j])) == {0: 1}
     assert verifier_mod._greedy_pairs(records, np.array([-1j, 1j])) == {0: 0}
+
+
+# the pair that records n = 2 and 3 of morse_pt1 v1 = 28.4743, v2 = 55.2755
+# meet on a 601-point grid, with the Im > 0 member moved three ulp in each
+# part, as roundoff may leave it: it sorts first and lies nearer the real
+# record n = 2
+_TIED_LOWER = complex(-14.515395407292425, -10.895075062595616)
+_TIED_UPPER = complex(_TIED_LOWER.real + 3 * np.spacing(_TIED_LOWER.real),
+                      -_TIED_LOWER.imag + 3 * np.spacing(_TIED_LOWER.imag))
+
+
+def test_pairing_gives_a_real_record_the_im_negative_member_of_a_tied_pair(monkeypatch):
+    records = [_record(2, 0, -14.715905327204107), _record(3, 0, -11.129773769605475)]
+    assert abs(records[0].energy - _TIED_UPPER) < abs(records[0].energy - _TIED_LOWER)
+    levels = [_TIED_LOWER, _TIED_UPPER, complex(-8.760632064036125, -16.832717446083706)]
+    expected = Counter({(records[0], _TIED_LOWER): 1, (records[1], _TIED_UPPER): 1})
+    for order in itertools.permutations(levels):
+        for recs in (records, records[::-1]):
+            assert _pairs(recs, np.array(order)) == expected
+    # verify prints each member's own value and error, not the shared one
+    spectrum = NumericSpectrum(eigenvalues=np.array(levels), eigenvectors=None,
+                               grid=Grid(-20.0, 20.0, 601))
+    monkeypatch.setattr(verifier_mod, "converged_spectrum", lambda *args: spectrum)
+    report = verify(MorsePT1(28.4743, 55.2755), records, spectrum.grid)
+    assert [p.numeric for p in report.pairs] == [_TIED_LOWER, _TIED_UPPER]
+    assert [p.abs_err for p in report.pairs] == [abs(r.energy - e) for r, e in
+                                                 zip(records, (_TIED_LOWER, _TIED_UPPER))]
+
+
+_RELATIVE = st.floats(-verifier_mod.CONJUGATE_TIE_RTOL / 20, verifier_mod.CONJUGATE_TIE_RTOL / 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(re=st.floats(-50.0, 50.0), im=st.floats(0.1, 50.0), energy=st.floats(-60.0, 60.0),
+       shifts=st.lists(st.builds(complex, _RELATIVE, _RELATIVE), min_size=2, max_size=2),
+       upper_first=st.booleans())
+def test_pairing_tie_survives_perturbing_each_member(re, im, energy, shifts, upper_first):
+    # each member moves by less than CONJUGATE_TIE_RTOL / 10 of its modulus, so
+    # the two stay a conjugate pair, and a real record still takes Im < 0
+    lower = complex(re, -im) * (1.0 + shifts[0])
+    upper = complex(re, im) * (1.0 + shifts[1])
+    numeric = np.array([upper, lower] if upper_first else [lower, upper])
+    assert _pairs([_record(0, 0, energy)], numeric) == Counter({(_record(0, 0, energy), lower): 1})
+
+
+@pytest.mark.parametrize("im", [0.0, 1e-12])
+def test_pairing_keeps_close_real_levels_apart(im):
+    # two levels 4e-9 apart, real or real to roundoff (Im = +-1e-12), are no
+    # conjugate pair: each record takes the level nearer to it, and the order
+    # stays ascending
+    levels = np.array([complex(1.0, im), complex(1.0 + 4e-9, -im)])
+    assert verifier_mod._conjugate_pairs(levels) == []
+    assert list(verifier_mod._conjugates_first(levels)) == [0, 1]
+    records = [_record(0, 0, 1.0 + 3e-9), _record(1, 0, 1.0 - 1e-9)]
+    assert verifier_mod._greedy_pairs(records, levels) == {0: 1, 1: 0}
+    assert verifier_mod._greedy_pairs(records, levels[::-1]) == {0: 0, 1: 1}
 
 
 def test_verify_mismatch_for_wrong_levels():
