@@ -1,9 +1,11 @@
 """Golden bytes of the closed-form layer in both hierarchy modes.
 
 Pins, for each of the six families, for `poschl_teller` with pure-imaginary
-V0 and q (a compact kernel of its own), and for `morse_general` and
+V0 and q (a compact kernel of its own), for `morse_general` and
 `poschl_teller` in non-default units (where hbar^2 / 2m != 1, so a level or
-a superpotential that skips its scaling shows): `spectrum` stdout, stderr
+a superpotential that skips its scaling shows), and for the four families
+with an `alpha` field at alpha != 1 (where a rate or a window that skips its
+alpha scaling shows): `spectrum` stdout, stderr
 and exit code (n_max = 3, l_max = 1), the ground energies of
 `hierarchy(model, 2, mode, units)`, and `riccati_residual` at l = 0..2,
 including the UnsupportedFamilyError message where self-consistent mode is
@@ -44,6 +46,10 @@ FAMILIES = [
     ("poschl_teller-imaginary", "poschl_teller", "v0 = 2i\nq = 0.7i", ""),
     ("morse_general-units", "morse_general", "v1 = 25\nv2 = 50", UNITS),
     ("poschl_teller-units", "poschl_teller", "v0 = 6\nq = 1", UNITS),
+    ("morse_general-alpha", "morse_general", "v1 = 25\nv2 = 50\nalpha = 0.7", ""),
+    ("morse_pt2-alpha", "morse_pt2", "omega = 2\nd = 3\nalpha = 1.3", ""),
+    ("poschl_teller-alpha", "poschl_teller", "v0 = 6\nq = 1\nalpha = 0.6", ""),
+    ("poschl_teller_pt-alpha", "poschl_teller_pt", "v0 = 4\nq = 0.5\nalpha = 1.7", ""),
 ]
 RESIDUAL_POINTS = 201
 SAMPLE_POINTS = 17
