@@ -8,8 +8,10 @@ of the instance, not the family.
 
 Each family is one frozen class that holds every fact about it: config
 token, parameter kinds (the field annotations; a field with a default is
-optional), default window, rate, formulas, admissibility, pole check and
+optional), unit window and rate, formulas, admissibility, pole check and
 ground state.  Callers ask the instance for those facts through its methods.
+`_Family` states the alpha scaling once: rate = rate_unit * alpha, with
+rate_unit 1 or 1j, and the default window is window_unit / alpha.
 The exponential wells state V and their literal ansatz once each, and
 `TwoTermAnsatz` and `_Exponential` derive V, W, the ground state and the
 levels E_{n,l} = -A_{l+n/2}^2 (bound while Re A > 0) from them.  The rational
@@ -95,11 +97,11 @@ class SpectrumFormula(Enum):
 class TwoTermAnsatz:
     """Superpotential W_l = w_scale (-B e^{-rate x} + A_l) with (B, A_l) = ansatz(l, units).
 
-    A subclass sets `rate` (a Python float when real, so e^{-rate x} is numpy's
-    real exp), `ansatz` and `level_step`; the families keep kinetic = 1.  The
-    ground state solves (w_scale d/dx + W_l) psi = 0: psi = exp[-(B/rate)
-    e^{-rate x} - A_l x].  Level n of depth l is the ground level of depth
-    l + level_step n further down the ladder.
+    A subclass has `rate` (`_Family` derives it, a Python float when real, so
+    e^{-rate x} is numpy's real exp), `ansatz` and `level_step`; the families
+    keep kinetic = 1.  The ground state solves (w_scale d/dx + W_l) psi = 0:
+    psi = exp[-(B/rate) e^{-rate x} - A_l x].  Level n of depth l is the ground
+    level of depth l + level_step n further down the ladder.
     """
 
     kinetic = 1.0
@@ -128,11 +130,24 @@ class TwoTermAnsatz:
 class _Family:
     """Base of the model classes, each a frozen dataclass.
 
-    A family class sets `token` (its config `family` value), `formula`,
-    `window` (the default x interval) and `rate`, and defines `evaluate`,
-    `level` -> (E, admissible), `superpotential`, `partner` and
-    `groundstate`; the methods here serve the families that lack the fact.
+    A family class sets `token` (its config `family` value), `formula` and
+    `window_unit`, and defines `evaluate`, `level` -> (E, admissible),
+    `superpotential`, `partner` and `groundstate`; the members here serve the
+    families that lack the fact.  The rate is `rate_unit * alpha` (a Python
+    float for the default `rate_unit = 1`; 1j complexifies it) and the default
+    x window is `window_unit / alpha`; a family with no `alpha` field takes 1.
     """
+
+    alpha = 1.0
+    rate_unit = 1
+
+    @property
+    def rate(self) -> float | complex:
+        return self.rate_unit * self.alpha
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return tuple(w / self.alpha for w in self.window_unit)
 
     def __post_init__(self):
         for f in fields(self):
@@ -178,14 +193,7 @@ class MorseGeneral(_Exponential):
 
     token = "morse_general"
     formula = SpectrumFormula.MORSE_GENERAL
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return -3.0 / self.alpha, 30.0 / self.alpha
-
-    @property
-    def rate(self) -> float:
-        return self.alpha
+    window_unit = (-3.0, 30.0)
 
     def structurally_hermitian(self) -> bool:
         return self.v1.imag == 0.0 and self.v2.imag == 0.0
@@ -225,8 +233,7 @@ class MorseNonPT(_Exponential):
 
     token = "morse_nonpt"
     formula = SpectrumFormula.MORSE_COMPLEX
-    window = (-3.0, 30.0)
-    rate = 1.0
+    window_unit = (-3.0, 30.0)
 
     def lam(self, units: UnitSystem) -> complex:
         return cmath.sqrt(_two_m_over_h2(units) * self.d)
@@ -253,8 +260,8 @@ class MorsePT1(_Exponential):
 
     token = "morse_pt1"
     formula = SpectrumFormula.MORSE_COMPLEX
-    window = (-20.0, 20.0)
-    rate = 1j
+    window_unit = (-20.0, 20.0)
+    rate_unit = 1j
 
     def lam(self, units: UnitSystem) -> complex:
         # v1 enters as a square (v1 = (A+iB)^2 with lam = A+iB): the alpha^2 = -1
@@ -286,19 +293,13 @@ class MorsePT2(_Exponential):
 
     token = "morse_pt2"
     formula = SpectrumFormula.MORSE_SHIFTED
+    window_unit = (-20.0, 20.0)
+    rate_unit = 1j
 
     def __post_init__(self):
         super().__post_init__()
         if self.omega == 0.0:
             raise ZeroOmegaError("omega must be nonzero")
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return -20.0 / self.alpha, 20.0 / self.alpha
-
-    @property
-    def rate(self) -> complex:
-        return 1j * self.alpha
 
     def exponential_coefficients(self) -> tuple[complex, complex, complex]:
         return complex(-(self.omega**2)), complex(-self.d), self.rate
@@ -320,10 +321,7 @@ class _Rational(_Family):
     """
 
     formula = SpectrumFormula.POSCHL_TELLER
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return -10.0 / self.alpha, 10.0 / self.alpha
+    window_unit = (-10.0, 10.0)
 
     def evaluate(self, x):
         import numpy as np
@@ -376,10 +374,6 @@ class PoschlTeller(_Rational):
 
     token = "poschl_teller"
 
-    @property
-    def rate(self) -> float:
-        return self.alpha
-
     def structurally_hermitian(self) -> bool:
         return self.v0.imag == 0.0 and self.q.imag == 0.0
 
@@ -410,10 +404,7 @@ class PoschlTellerPT(_Rational):
     alpha: float = 1.0
 
     token = "poschl_teller_pt"
-
-    @property
-    def rate(self) -> complex:
-        return 1j * self.alpha
+    rate_unit = 1j
 
     def check_pole(self, x_min: float, x_max: float) -> None:
         q = self.q

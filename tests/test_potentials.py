@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyhier import (
     DEFAULT_UNITS,
@@ -111,6 +112,43 @@ def test_real_only_slots_reject_complex():
         MorsePT2(2.0, 3.0 + 0.5j, 1.0)
     with pytest.raises(InvalidModelError):
         PoschlTellerPT(4.0, 0.5j, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the alpha scaling rule
+# ---------------------------------------------------------------------------
+
+_COMPLEX = st.builds(complex, st.floats(-25.0, 25.0), st.floats(-25.0, 25.0))
+
+# (family, parameters before alpha); the rational wells' q keeps every pole off
+# the real line: Re q > 0 for poschl_teller, |q| < 1 for poschl_teller_pt, at
+# most 0.99 there so that |1 + q u| stays clear of the POLE_RTOL check
+_ALPHA_FAMILIES = st.one_of(
+    st.tuples(st.just(MorseGeneral), st.tuples(_COMPLEX, _COMPLEX)),
+    st.tuples(st.just(MorsePT2), st.tuples(
+        st.builds(lambda s, w: s * w, st.sampled_from([-1.0, 1.0]), st.floats(0.5, 3.0)),
+        st.floats(-5.0, 5.0))),
+    st.tuples(st.just(PoschlTeller), st.tuples(
+        _COMPLEX, st.builds(complex, st.floats(0.0, 5.0, exclude_min=True),
+                            st.floats(-5.0, 5.0)))),
+    st.tuples(st.just(PoschlTellerPT), st.tuples(
+        st.floats(-25.0, 25.0), st.floats(-0.99, 0.99))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=_ALPHA_FAMILIES, alpha=st.floats(0.05, 20.0))
+def test_alpha_scales_the_argument_rate_and_window(family, alpha):
+    """A family's alpha scales x, bit for bit: V(x) of the alpha well is the
+    unit well's V(alpha x), its rate is alpha times the unit rate, and its
+    default window is the unit window divided by alpha."""
+    cls, params = family
+    model, unit = cls(*params, alpha), cls(*params, 1.0)
+    x = np.linspace(*model.window, 17)
+    assert np.array_equal(model.evaluate(x), unit.evaluate(alpha * x))
+    assert model.rate == alpha * unit.rate
+    w0, w1 = unit.window
+    assert model.window == (w0 / alpha, w1 / alpha)
 
 
 # ---------------------------------------------------------------------------
