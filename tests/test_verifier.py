@@ -323,12 +323,15 @@ def test_pairing_ignores_the_order_of_levels_and_records(records, numeric, data)
 @given(energies=st.lists(_BOX_LEVELS, max_size=6), numeric=st.lists(_BOX_LEVELS, max_size=8))
 def test_pairing_conjugates_with_the_levels(energies, numeric):
     # in general position every candidate distance differs, and |r - e| is
-    # exactly |r* - e*|, so the greedy order and the assignment are the same
+    # exactly |r* - e*|, so the greedy order and the assignment are the same;
+    # with no conjugate pair among the levels the pairing ranks these raw
+    # distances, not the shared ones of a pair, which tie
     distances = [abs(r - e) for r in energies for e in numeric]
     assume(len(set(distances)) == len(distances))
+    numeric = np.array(numeric, dtype=complex)
+    assume(not verifier_mod._conjugate_pairs(np.sort_complex(numeric)))
     records = [_record(n, 0, e) for n, e in enumerate(energies)]
     conjugated = [replace(r, energy=r.energy.conjugate()) for r in records]
-    numeric = np.array(numeric, dtype=complex)
     assert (verifier_mod._greedy_pairs(conjugated, numeric.conj())
             == verifier_mod._greedy_pairs(records, numeric))
 
@@ -340,6 +343,13 @@ def test_pairing_tie_break_is_not_conjugation_equivariant():
     records = [_record(0, 0, 0.0)]
     assert verifier_mod._greedy_pairs(records, np.array([1j, -1j])) == {0: 1}
     assert verifier_mod._greedy_pairs(records, np.array([-1j, 1j])) == {0: 0}
+    # a pair that is conjugate only to roundoff ties too, at its shared
+    # distance, though the raw distances from a record at 0.5 differ
+    records = [_record(0, 0, 0.5)]
+    levels = np.array([1e-10 + 1j, -1j])
+    assert abs(0.5 - levels[0]) != abs(0.5 - levels[1])
+    assert verifier_mod._greedy_pairs(records, levels) == {0: 1}
+    assert verifier_mod._greedy_pairs(records, levels.conj()) == {0: 0}
 
 
 # the pair that records n = 2 and 3 of morse_pt1 v1 = 28.4743, v2 = 55.2755
