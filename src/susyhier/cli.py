@@ -142,7 +142,6 @@ def cmd_scan(cfg: RunConfig) -> tuple[str, list[str], int]:
 
 def cmd_wavefunction(cfg: RunConfig) -> tuple[str, list[str], int]:
     """sample the ground-state wavefunction on the grid"""
-    import numpy as np
     sample = groundstate_wavefunction(cfg.model, cfg.l, cfg.grid, cfg.units, mode=cfg.mode)
     lines = []
     if not sample.normalized:
@@ -150,7 +149,7 @@ def cmd_wavefunction(cfg: RunConfig) -> tuple[str, list[str], int]:
     lines.append("x,psi_re,psi_im")
     # Python floats, as _fmt writes them, one list per column rather than a
     # numpy scalar per cell; adding 0.0 folds negative zero into plain 0.0
-    columns = [(np.asarray(col, dtype=float) + 0.0).tolist()
+    columns = [(col + 0.0).tolist()
                for col in (sample.grid.points(), sample.values.real, sample.values.imag)]
     lines.extend("%r,%r,%r" % row for row in zip(*columns))
     return "\n".join(lines) + "\n", [], EXIT_OK

@@ -113,8 +113,6 @@ class SuperpotentialExpr:
 def _canonical(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
     acc: dict[int, complex] = {}
     for t in terms:
-        if not isinstance(t, ExpTerm):
-            t = ExpTerm(*t)
         acc[t.k] = acc.get(t.k, 0j) + t.coeff
     return tuple(ExpTerm(c, k) for k, c in sorted(acc.items()) if c != 0)
 
@@ -141,23 +139,18 @@ def riccati_apply(w: SuperpotentialExpr, scale: DerivativeScale = DerivativeScal
                   ) -> tuple[SuperpotentialExpr, complex]:
     """Expand W^2 - s W' term by term; returns (nonconstant part, constant).
 
-    Defined for pure exponential expressions only; the rational kernel leaves
-    this basis under squaring and is handled on grids instead.
+    The products t1 t2 and then the terms of -s W' go to SuperpotentialExpr,
+    which sums the like terms in that order.  Defined for pure exponential
+    expressions only; the rational kernel leaves this basis under squaring
+    and is handled on grids instead.
     """
     if not w.is_exponential:
         raise InvalidModelError("symbolic expansion is only available for exponential sums")
     s = scale_value(scale, w.rate)
-    acc: dict[int, complex] = {}
-    for t1 in w.exp_terms:
-        for t2 in w.exp_terms:
-            k = t1.k + t2.k
-            acc[k] = acc.get(k, 0j) + t1.coeff * t2.coeff
-    for t in w.exp_terms:
-        if t.k:
-            acc[t.k] = acc.get(t.k, 0j) + s * t.k * w.rate * t.coeff
-    constant = acc.pop(0, 0j)
-    expr = SuperpotentialExpr(w.rate, tuple(ExpTerm(c, k) for k, c in acc.items()))
-    return expr, constant
+    terms = [ExpTerm(t1.coeff * t2.coeff, t1.k + t2.k) for t1 in w.exp_terms for t2 in w.exp_terms]
+    terms += [ExpTerm(s * t.k * w.rate * t.coeff, t.k) for t in w.exp_terms if t.k]
+    full = SuperpotentialExpr(w.rate, tuple(terms))
+    return SuperpotentialExpr(w.rate, tuple(t for t in full.exp_terms if t.k)), full.constant
 
 
 @dataclass(frozen=True)

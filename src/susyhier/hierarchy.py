@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DegenerateQuadraticError, InvalidModelError
 from .expressions import (DerivativeScale, RationalPartner, SuperpotentialExpr, exp_sum,
@@ -149,27 +149,25 @@ class RiccatiResidualReport:
 def riccati_residual(model: PotentialModel, l: int, grid: Grid,
                      mode: Mode = Mode.SELF_CONSISTENT,
                      scale: DerivativeScale = DerivativeScale.UNIT,
-                     e0: Optional[complex] = None,
                      units: UnitSystem = DEFAULT_UNITS) -> RiccatiResidualReport:
     """max over the grid of |W^2 - s sqrt(kinetic) W' - (V_partner - E0)|, all analytic.
 
     kinetic = hbar^2 / 2m, so the identity is H_l - E0 = A^+ A with
     A = sqrt(kinetic) d/dx + W for H_l = -kinetic d^2/dx^2 + V_partner.
-    e0 defaults to the mode's own ground energy at depth l.
+    E0 is the mode's own ladder's ground energy at depth l.
     """
     import numpy as np
     lad = ladder(model, mode, units)
     w = superpotential(lad, l, units)
     v = partner_potential(lad, l, units)
-    if e0 is None:
-        e0 = complex(lad.level(0, l, units)[0])
+    e0 = complex(lad.level(0, l, units)[0])
     s = _scaled(scale_value(scale, w.rate), math.sqrt(units.kinetic))
     x = grid.points()
     wx = w.evaluate(x)
     resid = wx * wx - s * w.derivative(x) - (v.evaluate(x) - e0)
     mags = np.abs(resid)
     i = int(np.argmax(mags))
-    return RiccatiResidualReport(mode=mode, derivative_scale=scale, l=l, e0=complex(e0),
+    return RiccatiResidualReport(mode=mode, derivative_scale=scale, l=l, e0=e0,
                                  max_abs_residual=float(mags[i]), argmax_x=float(x[i]))
 
 

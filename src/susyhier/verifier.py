@@ -416,14 +416,13 @@ def eigen_spectrum(ham: DiscretizedHamiltonian, k: int,
             vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
         else:
             vals, vecs = _eigh_tridiagonal(d, e, k), None
-    elif vectors:
-        from scipy.linalg import eig
-        vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
-    else:
-        vals, vecs = _hessenberg_eigvals(ham), None
-    if ham.is_real:
         order = slice(k)  # the tridiagonal solvers return their k values ascending
     else:
+        if vectors:
+            from scipy.linalg import eig
+            vals, vecs = eig(ham.dense(), right=True, overwrite_a=True)
+        else:
+            vals, vecs = _hessenberg_eigvals(ham), None
         order = np.lexsort((vals.imag, vals.real))[:k + 1]
         order = order[_conjugates_first(vals[order])][:k]
     vecs = None if vecs is None else vecs[:, order].astype(complex, copy=False)

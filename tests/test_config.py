@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -257,39 +258,47 @@ def test_mode_tokens():
 # rejection paths
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("text", [
-    "[wellness]\nfamily = morse_general\n",                    # unknown section
-    "[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n[model]\nv1 = 1\n",  # duplicate section
-    "v1 = 25\n",                                               # key outside any section
-    "[model]\nfamily morse_general\n",                         # missing '='
-    "[model]\nfamily = morse_general\nv1 = 25\nv1 = 26\nv2 = 50\n",  # duplicate key
-    "[model]\nv1 = 25\nv2 = 50\n",                             # missing family
-    "[model]\nfamily = coulomb\n",                             # unknown family
-    "[model]\nfamily = morse_nonpt\nd = 9\np = 2\nv1 = 25\n",  # wrong-family key
-    "[model]\nfamily = morse_general\nv1 = 25\n",              # missing required v2
-    "[model]\nfamily = morse_general\nv1 = 25\nv2 = fifty\n",  # malformed number
-    "[model]\nfamily = morse_general\nv1 = 25\nv2 = 5j\n",     # wrong imaginary unit
-    MINIMAL + "\n[grid]\nn_points = 1e3\n",                    # int slot with float
-    "[model]\nfamily = morse_general\nv1 = 2 5\nv2 = 50\n",    # blank inside a number
-    "[model]\nfamily = morse_general\nv1 = 1 000\nv2 = 50\n",  # blank as digit group
-    "[model]\nfamily = morse_general\nv1 = 1_000\nv2 = 50\n",  # digit separator
-    "[model]\nfamily = morse_general\nv1 = (5)\nv2 = 50\n",    # brackets
-    MINIMAL + "\n[grid]\nn_points = 4 000\n",                  # blank in an int
-    MINIMAL + "\n[grid]\nn_points = 1_000\n",                  # separator in an int
-    MINIMAL + "\n[grid]\nn_points = \uff11\uff12\n",            # full-width digits
-    MINIMAL + "\n[units]\nhbar = 1+2i\n",                      # imaginary in real slot
-    MINIMAL + "\n[units]\nplanck = 1\n",                       # unknown key
-    MINIMAL + "\n[run]\nl = -1\n",                             # negative level
-    MINIMAL + "\n[run]\nworkers = 1\n",                        # removed key
-    MINIMAL + "\n[run]\ntol_abs = 0\n",
-    MINIMAL + "\n[run]\nscan1_param = v0\n",                   # incomplete scan axis
-    MINIMAL + ("\n[run]\nscan1_param = alpha\nscan1_component = re\n"
-               "scan1_start = 0\nscan1_stop = 1\nscan1_count = 2\n"),  # unscannable param
-    MINIMAL + ("\n[run]\nscan1_param = v0\nscan1_component = re\n"
-               "scan1_start = 0\nscan1_stop = 1\nscan1_count = 0\n"),  # empty axis
-])
-def test_bad_configs_rejected(text):
-    with pytest.raises(ConfigError):
+BAD_CONFIGS = [
+    ("[wellness]\nfamily = morse_general\n", "unknown section [wellness]"),
+    ("[model]\nfamily = morse_general\nv1 = 25\nv2 = 50\n[model]\nv1 = 1\n",
+     "duplicate section [model]"),
+    ("v1 = 25\n", "key outside any [section]"),
+    ("[model]\nfamily morse_general\n", "expected 'key = value'"),
+    ("[model]\nfamily = morse_general\nv1 = 25\nv1 = 26\nv2 = 50\n", "duplicate key 'v1'"),
+    ("[model]\nv1 = 25\nv2 = 50\n", "missing required key 'family'"),
+    ("[model]\nfamily = coulomb\n", "unknown family 'coulomb'"),
+    ("[model]\nfamily = morse_nonpt\nd = 9\np = 2\nv1 = 25\n", "key 'v1' is not valid"),
+    ("[model]\nfamily = morse_general\nv1 = 25\n", "requires v2"),
+    ("[model]\nfamily = morse_general\nv1 = 25\nv2 = fifty\n", "cannot parse 'fifty'"),
+    ("[model]\nfamily = morse_general\nv1 = 25\nv2 = 5j\n", "imaginary unit is written 'i'"),
+    (MINIMAL + "\n[grid]\nn_points = 1e3\n", "expected an integer, got '1e3'"),
+    ("[model]\nfamily = morse_general\nv1 = 2 5\nv2 = 50\n", "cannot parse '2 5'"),
+    ("[model]\nfamily = morse_general\nv1 = 1 000\nv2 = 50\n", "cannot parse '1 000'"),
+    ("[model]\nfamily = morse_general\nv1 = 1_000\nv2 = 50\n", "cannot parse '1_000'"),
+    ("[model]\nfamily = morse_general\nv1 = (5)\nv2 = 50\n", "cannot parse '(5)'"),
+    (MINIMAL + "\n[grid]\nn_points = 4 000\n", "expected an integer, got '4 000'"),
+    (MINIMAL + "\n[grid]\nn_points = 1_000\n", "expected an integer, got '1_000'"),
+    (MINIMAL + "\n[grid]\nn_points = \uff11\uff12\n", "expected an integer"),  # full-width digits
+    (MINIMAL + "\n[units]\nhbar = 1+2i\n", "expected a real number, got '1+2i'"),
+    (MINIMAL + "\n[units]\nplanck = 1\n", "unknown key 'planck'"),
+    (MINIMAL + "\n[run]\nl = -1\n", "must be non-negative"),
+    (MINIMAL + "\n[run]\nworkers = 1\n", "unknown key 'workers'"),  # removed key
+    (MINIMAL + "\n[run]\ntol_abs = 0\n", "tolerances must be positive"),
+    (MINIMAL + "\n[run]\nscan1_param = v0\n", "incomplete scan axis"),
+    (MINIMAL + ("\n[run]\nscan1_param = alpha\nscan1_component = re\n"
+                "scan1_start = 0\nscan1_stop = 1\nscan1_count = 2\n"),
+     "scan parameter must be v0 or q, got 'alpha'"),
+    (MINIMAL + ("\n[run]\nscan1_param = v0\nscan1_component = re\n"
+                "scan1_start = 0\nscan1_stop = 1\nscan1_count = 0\n"),
+     "scan count must be >= 1"),
+    ("[model]\n = 5\n", "line 2: missing key"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_CONFIGS,
+                         ids=[f"text{i}" for i in range(len(BAD_CONFIGS))])
+def test_bad_configs_rejected(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
 
 

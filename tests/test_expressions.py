@@ -106,6 +106,18 @@ def test_riccati_apply_matches_pointwise(rate, scale):
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
+def test_riccati_apply_summation_order():
+    # like terms sum products t1 t2 first (t1, then t2, ascending k), then the
+    # terms of -s W'; summing the W' term first reads 0.24000000000000005 at
+    # k = 1 and 0.7000000000000001 at k = 2
+    expr, const = riccati_apply(exp_sum(1.0, (0.1, 0), (0.2, 1), (0.3, 2)))
+    assert repr(expr) == (
+        "SuperpotentialExpr(rate=(1+0j), exp_terms=(ExpTerm(coeff=(0.24000000000000002+0j), k=1), "
+        "ExpTerm(coeff=(0.7+0j), k=2), ExpTerm(coeff=(0.12+0j), k=3), "
+        "ExpTerm(coeff=(0.09+0j), k=4)), rational_terms=())")
+    assert repr(const) == "(0.010000000000000002+0j)"
+
+
 def test_riccati_apply_rejects_rational_terms():
     w = SuperpotentialExpr(1.0, (ExpTerm(1.0, 1),), (RationalTerm(1.0, 0.5, 2),))
     with pytest.raises(InvalidModelError):

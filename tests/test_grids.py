@@ -29,6 +29,8 @@ def test_grid_validation():
         Grid(1.0, 1.0, 100)
     with pytest.raises(InvalidModelError):
         Grid(2.0, -2.0, 100)
+    with pytest.raises(InvalidModelError, match="grid endpoints must be finite"):
+        Grid(0.0, float("inf"), 100)
 
 
 @pytest.mark.parametrize("x_min, x_max, n_points", [

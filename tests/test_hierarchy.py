@@ -403,6 +403,8 @@ def test_superpotential_validation():
         superpotential(MorseGeneral(25.0, 25.0, 1.0), -1)
     with pytest.raises(InvalidModelError):
         superpotential(MorseGeneral(0.0, 25.0, 1.0), 0)
+    with pytest.raises(InvalidModelError, match="l must be nonnegative"):
+        partner_potential(MorseGeneral(25.0, 25.0, 1.0), -1)
 
 
 def test_partner_potential_coefficients():
@@ -487,14 +489,6 @@ def test_literal_residual_vanishes_when_coefficients_coincide():
 def test_riccati_residual_rejects_negative_depth(mode):
     with pytest.raises(InvalidModelError, match="l must be nonnegative"):
         riccati_residual(MorseGeneral(25.0, 50.0), -1, GRID, mode=mode)
-
-
-def test_riccati_residual_e0_override():
-    rep = riccati_residual(MorseGeneral(25.0, 50.0, 1.0), 0, GRID,
-                           mode=Mode.SELF_CONSISTENT, e0=-1.0)
-    assert rep.e0 == -1.0
-    # wrong energy shifts the residual by a constant
-    assert rep.max_abs_residual == pytest.approx(abs(-1.0 - (-20.25)), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

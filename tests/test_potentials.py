@@ -94,6 +94,13 @@ def test_nonfinite_parameters_rejected():
         MorseGeneral(25.0, complex("inf"))
     with pytest.raises(InvalidModelError):
         PoschlTeller(float("inf"), 1.0)
+    with pytest.raises(InvalidModelError, match="must be a complex number, got 'abc'"):
+        MorseGeneral("abc", 1.0)
+
+
+def test_eval_potential_rejects_non_models():
+    with pytest.raises(InvalidModelError, match="not a potential model"):
+        eval_potential(object(), 0.0)
 
 
 def test_rate_must_be_positive_real():
